@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, file formats, manifests."""
 
+import hashlib
 import json
 
 import pytest
@@ -190,6 +191,52 @@ class TestPipelineAndFiles:
             "--ones", "12", "--twos", "14", "--budget", "5",
         ])
         assert rc == 2
+
+
+# result_digest pins (sha256 of the output text), measured before the output
+# paths of the search commands were merged into one; a redesign must keep them
+CANDIDATES_L15_DIGEST = "d3120c7b8812f558644c531919fdc9845b5b2f54b0f588d92b0278d726e17832"
+CANDIDATES_L15_FILE = "866fbce557daa243a5d82d99eccdc99a3b7bffb68080dede92ea9a760ea48b07"
+PAIRS_L15_SEED0 = "00e2e5087b5eadbf3c6a02fc94977d38ec7ea2c42f8a050a53bf64c932d98be5"
+PAIRS_L15_SEED3 = "dbf5c163d7d8c5c4b719ce1e8580dcd67dbe7eac40823c7f2adf4b28bbbf2b4d"
+ORBIT_L85_HINTED = "36cb19736834b3ad699df7a0a35e82f673dcf0b45c7f635c8947a12d130572d3"
+
+
+def result_digest(out):
+    with open(str(out) + ".manifest.json", encoding="utf-8") as fh:
+        return json.load(fh)["result_digest"]
+
+
+class TestGoldenDigests:
+    def test_candidates_then_decompress(self, tmp_path):
+        cands = tmp_path / "c15.json"
+        assert main(["candidates", "--ell", "15", "--out", str(cands)]) == 0
+        assert result_digest(cands) == CANDIDATES_L15_DIGEST
+        assert hashlib.sha256(cands.read_bytes()).hexdigest() == CANDIDATES_L15_FILE
+        for jobs in ("1", "2"):
+            out = tmp_path / f"found_j{jobs}.txt"
+            assert main([
+                "decompress", "--candidates", str(cands), "--out", str(out),
+                "--budget", "100000", "--jobs", jobs,
+            ]) == 0
+            assert result_digest(out) == PAIRS_L15_SEED0
+
+    @pytest.mark.parametrize("seed, want", [("0", PAIRS_L15_SEED0), ("3", PAIRS_L15_SEED3)])
+    def test_pipeline(self, tmp_path, seed, want):
+        out = tmp_path / "p15.txt"
+        assert main(["pipeline", "--ell", "15", "--seed", seed, "--out", str(out)]) == 0
+        assert result_digest(out) == want
+
+    def test_search_orbit_hinted(self, tmp_path):
+        hints = tmp_path / "hints.json"
+        hints.write_text(json.dumps([[12, 1321116338], [42, 1275934280]]))
+        out = tmp_path / "orb.txt"
+        assert main([
+            "search-orbit", "--ell", "85", "--gen", "69", "--ones", "12",
+            "--twos", "15", "--budget", "10", "--hints", str(hints),
+            "--out", str(out),
+        ]) == 0
+        assert result_digest(out) == ORBIT_L85_HINTED
 
 
 class TestReproduce:
