@@ -14,26 +14,18 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from . import __version__, refdata
 from .candgen import (
     CandidatePair,
     GenerationProfile,
-    ProfileError,
     candidates_d5,
     candidates_general,
 )
-from .decompress import (
-    SearchConfig,
-    SearchConfigError,
-    orbit_search,
-    uncompress_search,
-)
+from .decompress import SearchConfig, orbit_search, uncompress_search
 from .diophantine import admits_unit_sum, odd_five_squares
 from .grouptools import (
-    GroupError,
     LexRankCode,
     block_from_codes,
     lex_rank,
@@ -46,6 +38,7 @@ from .seqcore import (
     compress,
     format_sequence,
     psd,
+    psd_vector,
     read_sequences,
     verify_legendre_pair,
 )
@@ -55,34 +48,12 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written beside any randomized command output."""
-
-    argv: list
-    seed: Optional[int]
-    version: str
-    python: str
-    input_digests: dict
-    result_digest: str
-    wall_time_s: float
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-
 def _sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _jobs(requested: int) -> int:
@@ -97,6 +68,99 @@ def _read_single_sequence(path: str):
     if len(seqs) != 1:
         raise SequenceError(f"{path}: expected exactly one sequence line")
     return seqs[0]
+
+
+def _read_json(path: str, what: str, parse):
+    """Load a JSON input file and convert it with ``parse``; a file that is
+    not JSON or has the wrong shape raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a valid {what}: {exc!r}") from None
+
+
+def _parse_candidates(raw):
+    ell, m = raw["ell"], raw["m"]
+    cands = [
+        CandidatePair(a=tuple(p["a"]), b=tuple(p["b"]), ell=ell, m=m, x=p.get("x"))
+        for p in raw["pairs"]
+    ]
+    for cand in cands:
+        cand.check()
+    return ell, cands
+
+
+def _parse_profile(raw):
+    return {
+        "ell": raw["ell"],
+        "m": raw["m"],
+        "d": raw["d"],
+        "abs_value_counts": {int(k): v for k, v in raw["abs_value_counts"].items()},
+        "balanced": raw.get("balanced", False),
+    }
+
+
+def _parse_hints(raw):
+    if not isinstance(raw, list) or not all(
+        isinstance(h, list) and len(h) == 2 and all(isinstance(r, int) for r in h)
+        for h in raw
+    ):
+        raise ValueError("expected a list of [ones_rank, twos_rank] integer pairs")
+    return [tuple(h) for h in raw]
+
+
+def _parse_codes(raw):
+    return {
+        side: {int(size): (spec["k"], spec["rank"]) for size, spec in raw[side].items()}
+        for side in ("a", "b")
+    }
+
+
+def _write_manifest(out: str, args, t0: float, inputs: dict, text: str) -> None:
+    """Write ``out``.manifest.json, the reproducibility record of ``text``:
+    argv, seed, versions, digests of the input files and of ``text``."""
+    manifest = {
+        "argv": sys.argv[1:],
+        "seed": args.seed,
+        "version": __version__,
+        "python": sys.version.split()[0],
+        "input_digests": {k: _sha256_file(p) for k, p in inputs.items() if p},
+        "result_digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "wall_time_s": round(time.time() - t0, 3),
+    }
+    with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_pairs(args, t0: float, inputs: dict, results, unit: str) -> int:
+    """Write the pairs of ``results`` as text to --out, with a .json sidecar
+    and a manifest, or to stdout without --out; print the summary line."""
+    lines, records = [], []
+    for res in results:
+        for (A, B), codes in zip(res.pairs, res.codes):
+            lines += [format_sequence(A), format_sequence(B)]
+            records.append({"x": verify_legendre_pair(A, B).x_value, "codes": codes})
+    text = "\n".join(lines) + ("\n" if lines else "")
+    nodes = sum(res.nodes_visited for res in results)
+    exhausted = all(res.exhausted for res in results)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        sidecar = {"pairs": records, "nodes_visited": nodes, "exhausted": exhausted}
+        with open(args.out + ".json", "w", encoding="utf-8") as fh:
+            json.dump(sidecar, fh, indent=1)
+            fh.write("\n")
+        _write_manifest(args.out, args, t0, inputs, text)
+    else:
+        sys.stdout.write(text)
+    xs = sorted({abs(r["x"]) for r in records if r["x"] is not None})
+    print(
+        f"found {len(records)} pair(s), |x| values {xs}, visited {nodes} {unit}, "
+        f"exhausted={exhausted} [{time.time() - t0:.1f}s]"
+    )
+    return EXIT_OK if records else EXIT_NEGATIVE
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -137,8 +201,7 @@ def cmd_psd(args) -> int:
         if args.k is not None:
             print(f"{psd(seq, args.k):.9f}")
         else:
-            vals = " ".join(f"{psd(seq, k):.6f}" for k in range(len(seq)))
-            print(vals)
+            print(" ".join(f"{v:.6f}" for v in psd_vector(seq)))
     return EXIT_OK
 
 
@@ -160,19 +223,10 @@ def cmd_candidates(args) -> int:
     t0 = time.time()
     x_filter = set(args.x) if args.x else None
     if args.profile:
-        with open(args.profile, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        fields = _read_json(args.profile, "generation profile", _parse_profile)
         profile = GenerationProfile(
-            ell=raw["ell"],
-            m=raw["m"],
-            d=raw["d"],
-            abs_value_counts={int(k): v for k, v in raw["abs_value_counts"].items()},
-            balanced=raw.get("balanced", args.balanced),
-            x_filter=x_filter,
-            budget=args.budget,
-            seed=args.seed,
+            **fields, x_filter=x_filter, budget=args.budget, seed=args.seed
         )
-        profile.validate()
         pairs = list(candidates_general(profile))
         ell, m = profile.ell, profile.m
     else:
@@ -180,10 +234,6 @@ def cmd_candidates(args) -> int:
             print("lengths not divisible by 5 need --profile", file=sys.stderr)
             return EXIT_USAGE
         ell, m = args.ell, args.ell // 5
-        if args.m and args.m != m:
-            print(f"--m {args.m} inconsistent with --ell {ell} (needs m={m})",
-                  file=sys.stderr)
-            return EXIT_USAGE
         pairs = candidates_d5(m, x_filter)
     payload = {
         "ell": ell,
@@ -193,93 +243,37 @@ def cmd_candidates(args) -> int:
     text = json.dumps(payload, indent=1)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    manifest = RunManifest(
-        argv=sys.argv[1:],
-        seed=args.seed,
-        version=__version__,
-        python=sys.version.split()[0],
-        input_digests={"profile": _sha256_file(args.profile)} if args.profile else {},
-        result_digest=_sha256_text(text),
-        wall_time_s=round(time.time() - t0, 3),
-    )
-    manifest.write(args.out + ".manifest.json")
+    _write_manifest(args.out, args, t0, {"profile": args.profile}, text)
     print(f"wrote {len(pairs)} candidate pairs to {args.out}")
     return EXIT_OK if pairs else EXIT_NEGATIVE
 
 
-def _search_candidates(ell, cands, budget, seed, max_solutions, jobs):
-    """Run uncompress_search over candidates, optionally in parallel shards."""
-    configs = [
-        SearchConfig(budget_nodes=budget, seed=seed, max_solutions=max_solutions)
-        for _ in cands
-    ]
-    if jobs > 1 and len(cands) > 1:
+def _decompress(args, t0: float, ell: int, cands, inputs: dict) -> int:
+    """Lift every candidate, serially or in --jobs process shards, and write
+    the results merged in candidate order."""
+    cfg = SearchConfig(
+        budget_nodes=args.budget, seed=args.seed, max_solutions=args.max_solutions
+    )
+    n, jobs = len(cands), _jobs(args.jobs)
+    if jobs > 1 and n > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(uncompress_search, [ell] * len(cands), cands, configs))
+            results = list(pool.map(uncompress_search, [ell] * n, cands, [cfg] * n))
     else:
-        results = [uncompress_search(ell, c, cfg) for c, cfg in zip(cands, configs)]
-    return results
+        results = [uncompress_search(ell, cand, cfg) for cand in cands]
+    return _write_pairs(args, t0, inputs, results, "nodes")
 
 
 def cmd_decompress(args) -> int:
     t0 = time.time()
-    with open(args.candidates, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    ell = args.ell or payload["ell"]
-    m = payload["m"]
-    cands = [
-        CandidatePair(a=tuple(p["a"]), b=tuple(p["b"]), ell=ell, m=m, x=p.get("x"))
-        for p in payload["pairs"]
-    ]
-    results = _search_candidates(
-        ell, cands, args.budget, args.seed, args.max_solutions, _jobs(args.jobs)
-    )
-    lines = []
-    records = []
-    nodes = 0
-    exhausted = True
-    for cand, res in zip(cands, results):
-        nodes += res.nodes_visited
-        exhausted = exhausted and res.exhausted
-        for A, B in res.pairs:
-            rep = verify_legendre_pair(A, B)
-            lines.append(format_sequence(A))
-            lines.append(format_sequence(B))
-            records.append({"x": rep.x_value, "codes": None})
-    text = "\n".join(lines) + ("\n" if lines else "")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    sidecar = {
-        "pairs": records,
-        "nodes_visited": nodes,
-        "exhausted": exhausted,
-    }
-    with open(args.out + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1)
-        fh.write("\n")
-    manifest = RunManifest(
-        argv=sys.argv[1:],
-        seed=args.seed,
-        version=__version__,
-        python=sys.version.split()[0],
-        input_digests={"candidates": _sha256_file(args.candidates)},
-        result_digest=_sha256_text(text),
-        wall_time_s=round(time.time() - t0, 3),
-    )
-    manifest.write(args.out + ".manifest.json")
-    found = len(records)
-    print(f"found {found} pair(s), visited {nodes} nodes, exhausted={exhausted}")
-    return EXIT_OK if found else EXIT_NEGATIVE
+    ell, cands = _read_json(args.candidates, "candidate file", _parse_candidates)
+    return _decompress(args, t0, ell, cands, {"candidates": args.candidates})
 
 
 def cmd_search_orbit(args) -> int:
     t0 = time.time()
-    hints = []
-    if args.hints:
-        with open(args.hints, "r", encoding="utf-8") as fh:
-            hints = [tuple(h) for h in json.load(fh)]
+    hints = _read_json(args.hints, "hints file", _parse_hints) if args.hints else []
     cfg = SearchConfig(
         strategy="orbit_restricted",
         budget_nodes=args.budget,
@@ -292,42 +286,7 @@ def cmd_search_orbit(args) -> int:
         hint_codes=tuple(hints),
     )
     res = orbit_search(args.ell, cfg)
-    lines = []
-    records = []
-    for (A, B), codes in zip(res.pairs, res.codes):
-        rep = verify_legendre_pair(A, B)
-        lines.append(format_sequence(A))
-        lines.append(format_sequence(B))
-        records.append({"x": rep.x_value, "codes": codes})
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        sidecar = {
-            "pairs": records,
-            "nodes_visited": res.nodes_visited,
-            "exhausted": res.exhausted,
-        }
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=1)
-            fh.write("\n")
-        manifest = RunManifest(
-            argv=sys.argv[1:],
-            seed=args.seed,
-            version=__version__,
-            python=sys.version.split()[0],
-            input_digests={"hints": _sha256_file(args.hints)} if args.hints else {},
-            result_digest=_sha256_text(text),
-            wall_time_s=round(time.time() - t0, 3),
-        )
-        manifest.write(args.out + ".manifest.json")
-    else:
-        sys.stdout.write(text)
-    print(
-        f"found {len(res.pairs)} pair(s), visited {res.nodes_visited} selections, "
-        f"exhausted={res.exhausted}"
-    )
-    return EXIT_OK if res.pairs else EXIT_NEGATIVE
+    return _write_pairs(args, t0, {"hints": args.hints}, [res], "selections")
 
 
 def cmd_orbits(args) -> int:
@@ -353,16 +312,14 @@ def cmd_unrank(args) -> int:
 
 
 def cmd_decode_pair(args) -> int:
-    with open(args.codes, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    spec = _read_json(args.codes, "LexRank code file", _parse_codes)
     table = orbits(args.ell, args.gen)
     out = []
     for side in ("a", "b"):
-        codes = {}
-        for size_str, spec in raw[side].items():
-            size = int(size_str)
-            n = len(table.orbits_by_size.get(size, []))
-            codes[size] = LexRankCode(n=n, k=spec["k"], rank=spec["rank"])
+        codes = {
+            size: LexRankCode(n=table.class_count(size), k=k, rank=rank)
+            for size, (k, rank) in spec[side].items()
+        }
         seq = sequence_from_block(block_from_codes(table, codes))
         out.append(seq)
         print(format_sequence(seq))
@@ -507,47 +464,9 @@ def cmd_pipeline(args) -> int:
         print("pipeline needs 5 | ℓ (use candidates --profile + decompress otherwise)",
               file=sys.stderr)
         return EXIT_USAGE
-    m = args.ell // 5
-    x_filter = set(args.x) if args.x else None
-    cands = candidates_d5(m, x_filter)
+    cands = candidates_d5(args.ell // 5, set(args.x) if args.x else None)
     print(f"ℓ={args.ell}: {len(cands)} candidate pair(s)")
-    results = _search_candidates(
-        args.ell, cands, args.budget, args.seed, args.max_solutions, _jobs(args.jobs)
-    )
-    lines = []
-    found = []
-    nodes = 0
-    exhausted = True
-    for cand, res in zip(cands, results):
-        nodes += res.nodes_visited
-        exhausted = exhausted and res.exhausted
-        for A, B in res.pairs:
-            rep = verify_legendre_pair(A, B)
-            found.append(rep)
-            lines.append(format_sequence(A))
-            lines.append(format_sequence(B))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        manifest = RunManifest(
-            argv=sys.argv[1:],
-            seed=args.seed,
-            version=__version__,
-            python=sys.version.split()[0],
-            input_digests={},
-            result_digest=_sha256_text(text),
-            wall_time_s=round(time.time() - t0, 3),
-        )
-        manifest.write(args.out + ".manifest.json")
-    else:
-        sys.stdout.write(text)
-    xs = sorted({abs(r.x_value) for r in found})
-    print(
-        f"found {len(found)} pair(s), |x| values {xs}, visited {nodes} nodes, "
-        f"exhausted={exhausted} [{time.time() - t0:.1f}s]"
-    )
-    return EXIT_OK if found else EXIT_NEGATIVE
+    return _decompress(args, t0, args.ell, cands, {})
 
 
 # --- parser -----------------------------------------------------------------
@@ -580,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("candidates", help="generate candidate compressed pairs")
     p.add_argument("--ell", type=int, default=0)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--balanced", action="store_true")
     p.add_argument("--x", type=int, nargs="*", default=None)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -590,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_candidates)
 
     p = sub.add_parser("decompress", help="search full pairs for candidate file")
-    p.add_argument("--ell", type=int, default=0)
     p.add_argument("--candidates", required=True)
     p.add_argument("--budget", type=int, default=10**7)
     p.add_argument("--seed", type=int, default=0)
@@ -662,16 +578,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (SequenceError, GroupError, ProfileError, SearchConfigError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

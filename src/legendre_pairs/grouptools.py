@@ -33,12 +33,6 @@ class OrbitTable:
     def class_count(self, size: int) -> int:
         return len(self.orbits_by_size.get(size, []))
 
-    def all_orbits(self) -> List[Tuple[int, ...]]:
-        out: List[Tuple[int, ...]] = []
-        for size in sorted(self.orbits_by_size):
-            out.extend(self.orbits_by_size[size])
-        return out
-
 
 def orbits(ell: int, generators: Sequence[int]) -> OrbitTable:
     """Partition {1..ℓ-1} into orbits of the multiplier subgroup <generators>."""

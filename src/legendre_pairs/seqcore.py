@@ -62,8 +62,7 @@ def psd(seq: Sequence[int], k: int) -> float:
     n = len(seq)
     if not 0 <= k < n:
         raise SequenceError(f"index {k} out of range for length {n}")
-    w = np.exp(-2j * np.pi * k * np.arange(n) / n)
-    return float(abs(np.dot(np.asarray(seq, dtype=float), w)) ** 2)
+    return float(psd_vector(seq)[k])
 
 
 def psd_vector(seq: Sequence[int]) -> np.ndarray:

@@ -66,6 +66,13 @@ class TestSmallCommands:
         assert main(["psd", str(f), "-k", "0"]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(9.0)
 
+    def test_psd_full_spectrum(self, tmp_path, capsys):
+        f = tmp_path / "s.txt"
+        f.write_text("1,1,-1\n")
+        assert main(["psd", str(f)]) == 0
+        values = [float(v) for v in capsys.readouterr().out.split()]
+        assert values == pytest.approx([1.0, 4.0, 4.0])
+
     def test_dioph_text_and_json(self, capsys):
         assert main(["dioph", "-m", "11"]) == 0
         out = capsys.readouterr().out
@@ -109,6 +116,41 @@ class TestDecodePair:
         assert len(a) == 85 and sum(a) == 1
 
 
+L15_ROWS = {"a": [-3, 1, 1, 1, 1], "b": [-3, 1, 1, 1, 1]}
+CODES = ["decode-pair", "--ell", "85", "--gen", "69", "--codes", "{in}"]
+DECOMPRESS = ["decompress", "--candidates", "{in}", "--out", "{out}", "--budget", "1000"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv, content", [
+        pytest.param(CODES, {"a": [1, 2]}, id="codes-side-list"),
+        pytest.param(CODES, {"a": {"1": 5}}, id="codes-spec-int"),
+        pytest.param(DECOMPRESS, [1, 2], id="candidates-list"),
+        pytest.param(DECOMPRESS, {"ell": 15, "m": 3, "pairs": [[[1], [1]]]},
+                     id="candidate-pair-list"),
+        # ℓ=15 rows declared as an ℓ=25 candidate: their joint PAF is -6, not -10
+        pytest.param(DECOMPRESS, {"ell": 25, "m": 5, "pairs": [L15_ROWS]},
+                     id="candidate-contradicts-m"),
+        pytest.param(["search-orbit", "--ell", "85", "--gen", "69", "--ones", "12",
+                      "--twos", "15", "--hints", "{in}"], [1, 2], id="hints-flat"),
+        pytest.param(["candidates", "--profile", "{in}", "--out", "{out}"], [1, 2],
+                     id="profile-list"),
+        pytest.param(["verify", "{in}", "{seq}"], None, id="verify-directory"),
+    ])
+    def test_exits_two_without_traceback(self, tmp_path, capsys, argv, content):
+        bad = tmp_path / "in"
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_text(json.dumps(content))
+        seq = tmp_path / "seq.txt"
+        seq.write_text("1,1,-1\n")
+        paths = {"in": bad, "out": tmp_path / "out", "seq": seq}
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and str(bad) in err
+
+
 class TestPipelineAndFiles:
     def test_candidates_then_decompress(self, tmp_path, capsys):
         cands = tmp_path / "c15.json"
@@ -149,9 +191,16 @@ class TestPipelineAndFiles:
         assert main(["pipeline", "--ell", "21"]) == 2
 
     def test_candidates_inconsistent_m(self, tmp_path):
-        out = str(tmp_path / "c.json")
-        assert main(["candidates", "--ell", "15", "--m", "5", "--out", out]) == 2
-        assert main(["candidates", "--ell", "15", "--m", "3", "--out", out]) == 0
+        # m is fixed by the input: ℓ/5 for --ell, the profile's own for --profile
+        out = tmp_path / "c.json"
+        assert main(["candidates", "--ell", "15", "--m", "3", "--out", str(out)]) == 2
+        assert main(["candidates", "--ell", "15", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["m"] == 3
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(
+            {"ell": 15, "m": 5, "d": 5, "abs_value_counts": {"1": 8, "3": 2}}
+        ))
+        assert main(["candidates", "--profile", str(profile), "--out", str(out)]) == 2
 
     def test_candidates_x_filter(self, tmp_path):
         out = tmp_path / "cx.json"
