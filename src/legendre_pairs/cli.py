@@ -101,18 +101,21 @@ def _parse_profile(raw):
     }
 
 
+def _ints(*values):
+    if not all(isinstance(v, int) for v in values):
+        raise ValueError(f"expected integers, got {values!r}")
+    return values
+
+
 def _parse_hints(raw):
-    if not isinstance(raw, list) or not all(
-        isinstance(h, list) and len(h) == 2 and all(isinstance(r, int) for r in h)
-        for h in raw
-    ):
-        raise ValueError("expected a list of [ones_rank, twos_rank] integer pairs")
-    return [tuple(h) for h in raw]
+    return [_ints(ones_rank, twos_rank) for ones_rank, twos_rank in raw]
 
 
 def _parse_codes(raw):
     return {
-        side: {int(size): (spec["k"], spec["rank"]) for size, spec in raw[side].items()}
+        side: {
+            int(size): _ints(spec["k"], spec["rank"]) for size, spec in raw[side].items()
+        }
         for side in ("a", "b")
     }
 

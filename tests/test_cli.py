@@ -118,6 +118,8 @@ class TestDecodePair:
 
 L15_ROWS = {"a": [-3, 1, 1, 1, 1], "b": [-3, 1, 1, 1, 1]}
 CODES = ["decode-pair", "--ell", "85", "--gen", "69", "--codes", "{in}"]
+HINTS = ["search-orbit", "--ell", "85", "--gen", "69", "--ones", "12", "--twos", "15",
+         "--hints", "{in}"]
 DECOMPRESS = ["decompress", "--candidates", "{in}", "--out", "{out}", "--budget", "1000"]
 
 
@@ -125,14 +127,15 @@ class TestBadInput:
     @pytest.mark.parametrize("argv, content", [
         pytest.param(CODES, {"a": [1, 2]}, id="codes-side-list"),
         pytest.param(CODES, {"a": {"1": 5}}, id="codes-spec-int"),
+        pytest.param(CODES, {"a": {"1": {"k": "12", "rank": 12}}}, id="codes-k-string"),
         pytest.param(DECOMPRESS, [1, 2], id="candidates-list"),
         pytest.param(DECOMPRESS, {"ell": 15, "m": 3, "pairs": [[[1], [1]]]},
                      id="candidate-pair-list"),
         # ℓ=15 rows declared as an ℓ=25 candidate: their joint PAF is -6, not -10
         pytest.param(DECOMPRESS, {"ell": 25, "m": 5, "pairs": [L15_ROWS]},
                      id="candidate-contradicts-m"),
-        pytest.param(["search-orbit", "--ell", "85", "--gen", "69", "--ones", "12",
-                      "--twos", "15", "--hints", "{in}"], [1, 2], id="hints-flat"),
+        pytest.param(HINTS, [1, 2], id="hints-flat"),
+        pytest.param(HINTS, [[12, "x"]], id="hints-rank-string"),
         pytest.param(["candidates", "--profile", "{in}", "--out", "{out}"], [1, 2],
                      id="profile-list"),
         pytest.param(["verify", "{in}", "{seq}"], None, id="verify-directory"),
@@ -270,7 +273,9 @@ class TestGoldenDigests:
             ]) == 0
             assert result_digest(out) == PAIRS_L15_SEED0
 
-    @pytest.mark.parametrize("seed, want", [("0", PAIRS_L15_SEED0), ("3", PAIRS_L15_SEED3)])
+    @pytest.mark.parametrize(
+        "seed, want", [("0", PAIRS_L15_SEED0), ("3", PAIRS_L15_SEED3)]
+    )
     def test_pipeline(self, tmp_path, seed, want):
         out = tmp_path / "p15.txt"
         assert main(["pipeline", "--ell", "15", "--seed", seed, "--out", str(out)]) == 0
