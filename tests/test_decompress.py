@@ -1,6 +1,7 @@
 """Decompression engines: exhaustive counts against independent oracles,
 budget/determinism contracts, and the orbit-restricted search."""
 
+import hashlib
 import itertools
 from collections import defaultdict
 
@@ -114,6 +115,65 @@ class TestUncompressSearch:
             on = uncompress_search(15, cand, SearchConfig(psd_prune=True))
             off = uncompress_search(15, cand, SearchConfig(psd_prune=False))
             assert sorted(on.pairs) == sorted(off.pairs)
+
+
+def pairs_sha256(pairs):
+    """sha256 over the pairs in the order found, one ``A;B`` line each."""
+    h = hashlib.sha256()
+    for a, b in pairs:
+        h.update((",".join(map(str, a)) + ";" + ",".join(map(str, b)) + "\n").encode())
+    return h.hexdigest()
+
+
+class TestPinnedResults:
+    """Exact DFS results (order of pairs, nodes, exhaustion) for fixed inputs.
+
+    Any change to the DFS engine must reproduce these: a budget counts nodes,
+    so a faster engine explores the same tree prefix and finds the same pairs
+    in the same order.
+    """
+
+    @pytest.mark.parametrize(
+        "ci,psd_prune,nodes,count,digest",
+        [
+            (0, True, 5603, 36, "0f4669c87d802d378764fdf4709c35244cf0a236eca1af1bdf413287a4785bda"),
+            (0, False, 8735, 36, "0f4669c87d802d378764fdf4709c35244cf0a236eca1af1bdf413287a4785bda"),
+            (1, True, 5360, 117, "00c694240f0f6262e18ff97b057a88a6ba174902e46dd08836f0a8d78dbf204e"),
+            (1, False, 6980, 117, "00c694240f0f6262e18ff97b057a88a6ba174902e46dd08836f0a8d78dbf204e"),
+        ],
+    )
+    def test_l15_exhaustive(self, ci, psd_prune, nodes, count, digest):
+        cand = candidates_d5(3)[ci]
+        res = uncompress_search(15, cand, SearchConfig(seed=0, psd_prune=psd_prune))
+        assert res.exhausted
+        assert res.nodes_visited == nodes
+        assert len(res.pairs) == count
+        assert pairs_sha256(res.pairs) == digest
+
+    def test_l25_budget_cut(self):
+        found = "4d95505f4788bd34c2fed6b96e55a7420d122656f4254195ef7299ddcd27e5ab"
+        empty = hashlib.sha256().hexdigest()
+        for cand, digest in zip(candidates_d5(5), (empty, found, empty)):
+            res = uncompress_search(25, cand, SearchConfig(seed=7, budget_nodes=20_000))
+            assert not res.exhausted
+            assert res.nodes_visited == 20_000
+            assert pairs_sha256(res.pairs) == digest
+
+    @pytest.mark.parametrize(
+        "ci,seed,nodes,digest",
+        [
+            (2, 0, 6956, "d9420a9d0e58e634bed0f2bf541babd543b3ab3e4917c967f7b4517dc5981e5b"),
+            (0, 29, 29822, "8a80ca004aeaf9203349dbcf502c0fb5bc3f1f028a7fa3514159d1514bfd5543"),
+            (1, 1, 93926, "02448e34f94f87025456fec880909066fa2170cfe99c0ca291633782d8328e93"),
+        ],
+    )
+    def test_l25_first_pair(self, ci, seed, nodes, digest):
+        cand = candidates_d5(5)[ci]
+        res = uncompress_search(25, cand, SearchConfig(max_solutions=1, seed=seed))
+        assert not res.exhausted
+        assert res.nodes_visited == nodes
+        assert len(res.pairs) == 1
+        assert pairs_sha256(res.pairs) == digest
 
 
 def oracle_block_pairs(ell):
