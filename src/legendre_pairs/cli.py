@@ -501,11 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dioph)
 
     p = sub.add_parser("candidates", help="generate candidate compressed pairs")
-    p.add_argument("--ell", type=int, default=0)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--ell", type=int)
+    source.add_argument("--profile", help="JSON generation profile")
     p.add_argument("--x", type=int, nargs="*", default=None)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile", default=None, help="JSON generation profile")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_candidates)
 

@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .candgen import CandidatePair
 from .grouptools import (
     LexRankCode,
@@ -79,8 +81,15 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
 
     Entries are assigned a whole residue class at a time, sides interleaved
     within a class; each class j of a side has exactly (m - row_j)/2 entries
-    equal to -1.  Pruning: joint PAF interval/parity bounds per shift, plus an
-    optional PSD ceiling on the completed A side.
+    equal to -1.  Pruning: joint PAF interval/parity bounds per shift, the
+    per-side compression identity per shift class mod d, plus an optional PSD
+    ceiling on the completed A side.
+
+    Every option of a depth is scored at once when the search enters it: the
+    PAF gain of option v in class j is ``v @ C_j`` plus a term of v alone at
+    shifts ≡ 0 (mod d), with ``C_j[t, s] = row[i_t + s] + row[i_t - s]``; the
+    unknown products depend on the depth only.  Each option still counts as
+    one node, in the seeded order, so budgets cut the same tree prefix.
     """
     cfg.validate()
     if cfg.strategy != "backtrack":
@@ -89,151 +98,114 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     if len(cand.b) != d or d == 0 or ell % d != 0:
         raise SearchConfigError(f"candidate shape {d} does not divide ℓ={ell}")
     m = ell // d
-    neg_a = _negative_counts(cand.a, m)
-    neg_b = _negative_counts(cand.b, m)
+    negs = (_negative_counts(cand.a, m), _negative_counts(cand.b, m))
 
-    classes = [tuple(j + i * d for i in range(m)) for j in range(d)]
+    classes = np.arange(ell).reshape(m, d).T  # classes[j] = (j, j + d, ...)
     # most-constrained-first: fewest subset choices first
     order = sorted(
-        range(d), key=lambda j: (math.comb(m, neg_a[j]) * math.comb(m, neg_b[j]), j)
+        range(d), key=lambda j: (math.comb(m, negs[0][j]) * math.comb(m, negs[1][j]), j)
     )
-    steps: List[Tuple[int, int]] = []  # (side, class index)
-    for j in order:
-        steps.append((0, j))
-        steps.append((1, j))
-
-    rows = ([0] * ell, [0] * ell)
-    negs = (neg_a, neg_b)
-    classes_set = [frozenset(c) for c in classes]
+    steps = [(side, j) for j in order for side in (0, 1)]
     nshifts = ell // 2
-
-    # per-side partial PAF sums and unknown-product counts, indexed by shift
-    partial = ([0] * (nshifts + 1), [0] * (nshifts + 1))
-    unknown = ([ell] * (nshifts + 1), [ell] * (nshifts + 1))
+    shifts = np.arange(1, nshifts + 1)
+    plus = (classes[:, :, None] + shifts) % ell
+    minus = (classes[:, :, None] - shifts) % ell
+    # a half-period shift (even ℓ) has one partner; the class's own entry
+    # is still 0 when the class is scored, so the second gather adds nothing
+    minus = np.where(minus == plus, classes[:, :, None], minus)
 
     # Shift classes mod d and their exact per-side targets from the
     # compression identity: sum of PAF(j) over j ≡ ±c (mod d), folded onto
     # tracked shifts 1..ℓ//2, equals paf(compressed, c) (halved for c = 0,
     # net of PAF(0) = ℓ).
-    class_shifts: Dict[int, List[int]] = {}
-    for s in range(1, nshifts + 1):
-        c = min(s % d, (d - s % d) % d)
-        class_shifts.setdefault(c, []).append(s)
-    class_targets = []
-    for row_vals in (cand.a, cand.b):
-        targets = {}
-        for c in class_shifts:
-            if c == 0:
-                targets[c] = (paf(row_vals, 0) - ell) // 2
-            else:
-                targets[c] = paf(row_vals, c)
-        class_targets.append(targets)
+    shift_class = np.minimum(shifts % d, -shifts % d)
+    class_ids = sorted(set(shift_class.tolist()))
+    fold = (shift_class[:, None] == class_ids).astype(np.int64)
+    targets = [
+        np.array([(paf(row, 0) - ell) // 2 if c == 0 else paf(row, c) for c in class_ids])
+        for row in (cand.a, cand.b)
+    ]
+    own = shifts[shifts % d == 0]  # shifts that pair a class with itself
 
     rng = random.Random(cfg.seed)
-    choice_tables: List[List[Tuple[int, ...]]] = []
+    values, intra, slack = [], [], []
+    seen = np.zeros((2, ell), dtype=bool)
+    unknown = np.full((2, nshifts), ell, dtype=np.int64)
     for side, j in steps:
-        opts = list(itertools.combinations(classes[j], negs[side][j]))
+        opts = list(itertools.combinations(classes[j].tolist(), negs[side][j]))
         rng.shuffle(opts)
-        choice_tables.append(opts)
+        neg = np.array(opts, dtype=np.int64).reshape(len(opts), -1) // d
+        v = np.ones((len(opts), m), dtype=np.int64)
+        np.put_along_axis(v, neg, -1, axis=1)
+        values.append(v)
+        intra.append((v[:, :, None] * v[:, (np.arange(m)[:, None] + own // d) % m]).sum(1))
+        # products fixed by this step: partners already assigned at i - s
+        # (outside the class), and at i + s once the class itself is assigned
+        done = seen[side][minus[j]].sum(0)
+        seen[side][classes[j]] = True
+        unknown[side] -= done + seen[side][plus[j]].sum(0)
+        slack.append(np.concatenate((unknown.sum(0), unknown[side] @ fold)))
 
     result = SearchResult()
     psd_limit = 2 * ell + 2 + PSD_CEILING_TOL
-    stop = False
+    a_last_step = len(steps) - 2  # the A side is complete after it
+    rows = np.zeros((2, ell), dtype=np.int64)
 
-    def apply_class(side: int, j: int, neg_positions: Tuple[int, ...]):
-        row = rows[side]
-        ps, us = partial[side], unknown[side]
-        for i in classes[j]:
-            row[i] = -1 if i in neg_positions else 1
-        deltas = []
-        for s in range(1, nshifts + 1):
-            dp = 0
-            dn = 0
-            for i in classes[j]:
-                p1 = row[(i + s) % ell]
-                if p1 != 0:
-                    dp += row[i] * p1
-                    dn += 1
-                j2 = (i - s) % ell
-                if j2 != (i + s) % ell:
-                    p2v = row[j2]
-                    if p2v != 0 and j2 not in classes_set[j]:
-                        dp += p2v * row[i]
-                        dn += 1
-            ps[s] += dp
-            us[s] -= dn
-            deltas.append((dp, dn))
-        return deltas
-
-    def undo_class(side: int, j: int, deltas):
-        row = rows[side]
-        ps, us = partial[side], unknown[side]
-        for i in classes[j]:
-            row[i] = 0
-        for s in range(1, nshifts + 1):
-            dp, dn = deltas[s - 1]
-            ps[s] -= dp
-            us[s] += dn
-
-    def paf_prune(side: int) -> bool:
-        pa, pb = partial
-        ua, ub = unknown
-        for s in range(1, nshifts + 1):
-            gap = -2 - pa[s] - pb[s]
-            u = ua[s] + ub[s]
-            if abs(gap) > u or (gap - u) % 2 != 0:
-                return True
-        ps, us = partial[side], unknown[side]
-        targets = class_targets[side]
-        for c, shifts in class_shifts.items():
-            acc = 0
-            slack = 0
-            for s in shifts:
-                acc += ps[s]
-                slack += us[s]
-            gap = targets[c] - acc
-            if abs(gap) > slack or (gap - slack) % 2 != 0:
-                return True
-        return False
-
-    a_last_step = max(i for i, (side, _) in enumerate(steps) if side == 0)
-
-    def descend(depth: int) -> None:
-        nonlocal stop
-        if stop:
-            return
-        if depth == len(steps):
-            A, B = tuple(rows[0]), tuple(rows[1])
-            rep = verify_legendre_pair(A, B)
-            if (
-                rep.is_legendre_pair
-                and compress(A, m) == cand.a
-                and compress(B, m) == cand.b
-            ):
-                result.pairs.append((A, B))
-                result.codes.append(None)
-                if cfg.max_solutions and len(result.pairs) >= cfg.max_solutions:
-                    stop = True
-            return
+    def score(depth: int, part: Tuple[np.ndarray, np.ndarray]) -> list:
+        """Score every option of a depth against the current rows; return the
+        walk frame [depth, surviving option indices, their partial PAFs, the
+        partial PAFs at entry, survivors walked, options walked]."""
         side, j = steps[depth]
-        for neg_positions in choice_tables[depth]:
-            if stop:
-                return
-            if result.nodes_visited >= cfg.budget_nodes:
-                stop = True
-                return
-            result.nodes_visited += 1
-            deltas = apply_class(side, j, neg_positions)
-            ok = not paf_prune(side)
-            if ok and cfg.psd_prune and depth == a_last_step:
-                spec = psd_vector(rows[0])
-                if max(spec[1:]) > psd_limit:
-                    ok = False
-            if ok:
-                descend(depth + 1)
-            undo_class(side, j, deltas)
+        v = values[depth]
+        gain = v @ (rows[side, plus[j]] + rows[side, minus[j]])
+        gain[:, own - 1] += intra[depth]
+        new = part[side] + gain
+        gap = np.concatenate((-2 - new - part[1 - side], targets[side] - new @ fold), 1)
+        lim = slack[depth]
+        ok = ~((np.abs(gap) > lim) | ((gap - lim) & 1).astype(bool)).any(1)
+        if cfg.psd_prune and depth == a_last_step and ok.any():
+            idx = np.flatnonzero(ok)
+            full = np.repeat(rows[:1], len(idx), 0)
+            full[:, classes[j]] = v[idx]
+            ok[idx[psd_vector(full)[:, 1:].max(1) > psd_limit]] = False
+        live = np.flatnonzero(ok)
+        return [depth, live.tolist(), new[live], part, 0, 0]
 
-    descend(0)
+    nodes, budget, stop = 0, cfg.budget_nodes, False
+    stack = [score(0, (np.zeros(nshifts, np.int64), np.zeros(nshifts, np.int64)))]
+    while stack:
+        frame = stack[-1]
+        depth, live, new, part, pos, taken = frame
+        side, j = steps[depth]
+        if pos == len(live):  # only pruned options remain at this depth
+            nodes += len(values[depth]) - taken
+            if nodes > budget:
+                nodes, stop = budget, True
+                break
+            rows[side, classes[j]] = 0
+            stack.pop()
+            continue
+        k = live[pos]
+        nodes += k - taken  # the pruned options walked before option k
+        if nodes >= budget:
+            nodes, stop = budget, True
+            break
+        nodes += 1
+        frame[4:] = pos + 1, k + 1
+        rows[side, classes[j]] = values[depth][k]
+        child = (new[pos], part[1]) if side == 0 else (part[0], new[pos])
+        if depth + 1 < len(steps):
+            stack.append(score(depth + 1, child))
+            continue
+        A, B = tuple(rows[0].tolist()), tuple(rows[1].tolist())
+        rep = verify_legendre_pair(A, B)
+        if rep.is_legendre_pair and compress(A, m) == cand.a and compress(B, m) == cand.b:
+            result.pairs.append((A, B))
+            result.codes.append(None)
+            if cfg.max_solutions and len(result.pairs) >= cfg.max_solutions:
+                stop = True
+                break
+    result.nodes_visited = nodes
     result.exhausted = not stop
     return result
 

@@ -66,7 +66,11 @@ def psd(seq: Sequence[int], k: int) -> float:
 
 
 def psd_vector(seq: Sequence[int]) -> np.ndarray:
-    """PSD at every index, via one dense DFT (lengths here are tiny)."""
+    """PSD at every index, via one dense DFT (lengths here are tiny).
+
+    A 2-D input is a stack of sequences: the DFT runs along the last axis,
+    so row r of the result is the PSD vector of row r.
+    """
     a = np.asarray(seq, dtype=float)
     return np.abs(np.fft.fft(a)) ** 2
 

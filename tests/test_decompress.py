@@ -1,12 +1,16 @@
 """Decompression engines: exhaustive counts against independent oracles,
 budget/determinism contracts, and the orbit-restricted search."""
 
+import functools
+import gc
 import hashlib
 import itertools
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legendre_pairs.candgen import CandidatePair, candidates_d5
 from legendre_pairs.decompress import (
@@ -174,6 +178,52 @@ class TestPinnedResults:
         assert res.nodes_visited == nodes
         assert len(res.pairs) == 1
         assert pairs_sha256(res.pairs) == digest
+
+
+@functools.lru_cache(maxsize=None)
+def cached_candidates(m):
+    return tuple(candidates_d5(m))
+
+
+# Exhaustive node counts of the ℓ=15 candidates (psd_prune on).  The searched
+# tree does not depend on the order options are tried in, so neither does
+# its size: every seed gives these totals.
+L15_TOTALS = (5603, 5360)
+
+
+class TestDeterminism:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        target=st.sampled_from([(15, 0), (15, 1), (25, 0), (25, 1), (25, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        budgets=st.lists(st.integers(1, 7000), min_size=2, max_size=2, unique=True),
+    )
+    def test_budget_prefix(self, target, seed, budgets):
+        """A larger budget extends the explored prefix: the pairs found first
+        stay first, and a budget is spent in full unless the tree ends."""
+        ell, ci = target
+        cand = cached_candidates(ell // 5)[ci]
+        # every ℓ=25 tree here has more than 20,000 nodes (TestPinnedResults)
+        total = L15_TOTALS[ci] if ell == 15 else 20_001
+        b1, b2 = sorted(budgets)
+        small = uncompress_search(ell, cand, SearchConfig(seed=seed, budget_nodes=b1))
+        big = uncompress_search(ell, cand, SearchConfig(seed=seed, budget_nodes=b2))
+        assert big.pairs[: len(small.pairs)] == small.pairs
+        for b, res in ((b1, small), (b2, big)):
+            assert res.nodes_visited == min(b, total)
+            assert res.exhausted == (b >= total)
+
+    def test_leaves_no_reference_cycle(self):
+        """A search frees everything it made by reference counting alone."""
+        cand = cached_candidates(9)[0]
+        gc.collect()
+        gc.disable()
+        try:
+            for seed in range(5):
+                uncompress_search(45, cand, SearchConfig(seed=seed, budget_nodes=200))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def oracle_block_pairs(ell):

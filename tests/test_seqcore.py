@@ -19,6 +19,7 @@ from legendre_pairs.seqcore import (
     parse_sequence,
     psd,
     psd_at_m_exact,
+    psd_vector,
     verify_legendre_pair,
 )
 
@@ -106,6 +107,15 @@ class TestPsd:
             k = rnd.randrange(n)
             via_paf = sum(v[j] * math.cos(2 * math.pi * j * k / n) for j in range(n))
             assert psd(seq, k) == pytest.approx(via_paf, abs=1e-8)
+
+    def test_stacked_rows(self):
+        rnd = random.Random(31)
+        for n in (5, 45, 85):
+            rows = [[rnd.choice([-1, 1]) for _ in range(n)] for _ in range(7)]
+            stacked = psd_vector(rows)
+            assert stacked.shape == (7, n)
+            for r, row in enumerate(rows):
+                np.testing.assert_array_equal(stacked[r], psd_vector(row))
 
 
 class TestCompress:
