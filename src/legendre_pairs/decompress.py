@@ -110,8 +110,8 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     shifts = np.arange(1, nshifts + 1)
     plus = (classes[:, :, None] + shifts) % ell
     minus = (classes[:, :, None] - shifts) % ell
-    # a half-period shift (even ℓ) has one partner; the class's own entry
-    # is still 0 when the class is scored, so the second gather adds nothing
+    # at a half-period shift (even ℓ) i + s and i - s are one entry: gather
+    # the second term from the class's own entry, still 0 while it is scored
     minus = np.where(minus == plus, classes[:, :, None], minus)
 
     # Shift classes mod d and their exact per-side targets from the
@@ -138,12 +138,15 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         v = np.ones((len(opts), m), dtype=np.int64)
         np.put_along_axis(v, neg, -1, axis=1)
         values.append(v)
+        # products inside the class: the option's own cyclic PAF at s/d
         intra.append((v[:, :, None] * v[:, (np.arange(m)[:, None] + own // d) % m]).sum(1))
         # products fixed by this step: partners already assigned at i - s
         # (outside the class), and at i + s once the class itself is assigned
-        done = seen[side][minus[j]].sum(0)
-        seen[side][classes[j]] = True
-        unknown[side] -= done + seen[side][plus[j]].sum(0)
+        done = seen[side, minus[j]].sum(0)
+        seen[side, classes[j]] = True
+        unknown[side] -= done + seen[side, plus[j]].sum(0)
+        # bound limits after this step: unknowns per shift of both sides,
+        # then per shift class of this side
         slack.append(np.concatenate((unknown.sum(0), unknown[side] @ fold)))
 
     result = SearchResult()
