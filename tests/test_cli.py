@@ -137,6 +137,8 @@ class TestBadInput:
                      id="candidate-contradicts-m"),
         pytest.param(HINTS, [1, 2], ("{in}",), id="hints-flat"),
         pytest.param(HINTS, [[12, "x"]], ("{in}",), id="hints-rank-string"),
+        pytest.param(HINTS, [[5000, 1]], ("rank 5000",), id="hints-rank-too-big"),
+        pytest.param(HINTS, [[-1, 1]], ("rank -1",), id="hints-rank-negative"),
         pytest.param(["candidates", "--profile", "{in}", "--out", "{out}"], [1, 2], ("{in}",),
                      id="profile-list"),
         pytest.param(["verify", "{in}", "{seq}"], None, ("{in}",), id="verify-directory"),

@@ -154,6 +154,25 @@ class TestPinnedResults:
         assert len(res.pairs) == count
         assert pairs_sha256(res.pairs) == digest
 
+    @pytest.mark.parametrize(
+        "ell,a,b,budget,nodes,exhausted",
+        [
+            (10, (0, 2, 2, -2, -2), (0, 2, -2, 0, 2), 10**6, 1, True),
+            (10, (0, 0, 0, 0, 0), (2, 0, 0, 0, -2), 10**6, 2, True),
+            (10, (0, 0, 0, 0, 0), (2, 0, 0, 0, -2), 1, 1, False),
+            (14, (0,) * 7, (0,) * 7, 10**6, 2, True),
+            (14, (0,) * 7, (0,) * 7, 1, 1, False),
+        ],
+    )
+    def test_m2_parity_infeasible(self, ell, a, b, budget, nodes, exhausted):
+        """With m = 2 no option of the first depth passes the class parity
+        bound: the search counts them as nodes and ends."""
+        cand = CandidatePair(a=a, b=b, ell=ell, m=2)
+        res = uncompress_search(ell, cand, SearchConfig(seed=1, budget_nodes=budget))
+        assert res.pairs == []
+        assert res.nodes_visited == nodes
+        assert res.exhausted == exhausted
+
     def test_l25_budget_cut(self):
         found = "4d95505f4788bd34c2fed6b96e55a7420d122656f4254195ef7299ddcd27e5ab"
         empty = hashlib.sha256().hexdigest()
@@ -345,3 +364,86 @@ class TestOrbitSearch:
         cfg2 = self.l85_cfg(budget_nodes=30)
         r1, r2 = orbit_search(85, cfg1), orbit_search(85, cfg2)
         assert r1.pairs == r2.pairs and r1.nodes_visited == r2.nodes_visited
+
+
+def orbit_sha256(res):
+    """sha256 over pairs and their codes in the order found, one line each."""
+    h = hashlib.sha256()
+    for (a, b), (ca, cb) in zip(res.pairs, res.codes):
+        line = ",".join(map(str, a)) + ";" + ",".join(map(str, b)) + ";"
+        line += repr(sorted(ca.items())) + ";" + repr(sorted(cb.items())) + "\n"
+        h.update(line.encode())
+    return h.hexdigest()
+
+
+def l85_hints():
+    hints = []
+    for cp in ell85()["code_pairs"]:
+        hints.append((cp["a"]["ones"], cp["a"]["twos"]))
+        hints.append((cp["b"]["ones"], cp["b"]["twos"]))
+    return tuple(hints)
+
+
+def block_cfg(ell, **kw):
+    """Orbit search over every (ℓ-1)/2-subset of {1..ℓ-1} (trivial subgroup)."""
+    args = dict(strategy="orbit_restricted", subgroup_generators=(1,),
+                ones_orbits=(ell - 1) // 2, twos_orbits=0)
+    args.update(kw)
+    return SearchConfig(**args)
+
+
+L21_SCAN = dict(exhaustive=True, p2_prefilter=False, budget_nodes=20_000)
+L15_ALL = dict(exhaustive=True, budget_nodes=10**7)
+DUP_HINTS = ((3000, 0), (7, 0), (3000, 0), (0, 0), (7, 0))
+ORBIT_CASES = {
+    "l85-hints-sample": lambda: (85, SearchConfig(
+        strategy="orbit_restricted", subgroup_generators=(69,), ones_orbits=12,
+        twos_orbits=15, seed=5, budget_nodes=5_000, hint_codes=l85_hints())),
+    "l21-scan": lambda: (21, block_cfg(21, **L21_SCAN)),
+    "l21-scan-max1": lambda: (21, block_cfg(21, **L21_SCAN, max_solutions=1)),
+    "l21-scan-max50": lambda: (21, block_cfg(21, **L21_SCAN, max_solutions=50)),
+    "l21-scan-budget1300": lambda: (21, block_cfg(21, **{**L21_SCAN, "budget_nodes": 1_300})),
+    "l15-exhaustive-p2": lambda: (15, block_cfg(15, **L15_ALL)),
+    "l15-exhaustive-nop2": lambda: (15, block_cfg(15, **L15_ALL, p2_prefilter=False)),
+    "l15-exhaustive-nopsd": lambda: (15, block_cfg(
+        15, **L15_ALL, p2_prefilter=False, psd_prune=False)),
+    "l15-hints-dup": lambda: (15, block_cfg(
+        15, **L15_ALL, p2_prefilter=False, hint_codes=DUP_HINTS)),
+    "l15-hints-dup-budget": lambda: (15, block_cfg(
+        15, exhaustive=True, p2_prefilter=False, budget_nodes=600, hint_codes=DUP_HINTS)),
+    "l15-sample-exhausted": lambda: (15, block_cfg(
+        15, p2_prefilter=False, seed=3, budget_nodes=10**7)),
+    # C(70, 35) > 2**63: ranks no longer fit a machine integer
+    "l71-sample": lambda: (71, block_cfg(71, seed=2, budget_nodes=1_500)),
+}
+
+
+class TestOrbitPinned:
+    """Exact orbit-search results: nodes, exhaustion and the pairs with their
+    codes in emission order.  Budgets count selections, so any engine must
+    consider the same selections in the same order and stop at the same one."""
+
+    @pytest.mark.parametrize(
+        "name,nodes,exhausted,count,digest",
+        [
+            ("l85-hints-sample", 5000, False, 4, "e518bd7db7fac9036802b87737a4df67e1a4af814d128d2cbbd7523cf7fbe474"),
+            ("l21-scan", 20000, False, 756, "f73852a525173806f7d78c34df795955b6d27ee6e04726a872f77c258f61f7c8"),
+            ("l21-scan-max1", 3448, False, 2, "55948bb613db05e004f8c89a90f06de1fe496405eeeef299cb6fdef7f000dd3d"),
+            ("l21-scan-max50", 5948, False, 51, "6c634f02a14bf1b97d2cab8ad63aee46b5430d6c21f4049202bd0b0bf8f7e838"),
+            ("l21-scan-budget1300", 1300, False, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            ("l15-exhaustive-p2", 3432, True, 3464, "1c6ab61191e521c9cc7ca1a846b6a2673ae21babbba640739a402583cc12c7d4"),
+            ("l15-exhaustive-nop2", 3432, True, 5512, "6270aebe9cc82aad6895002bc4104b7d23fd70189cbff2a448c5c12cfdb5b545"),
+            ("l15-exhaustive-nopsd", 3432, True, 5512, "6270aebe9cc82aad6895002bc4104b7d23fd70189cbff2a448c5c12cfdb5b545"),
+            ("l15-hints-dup", 3432, True, 5512, "9bc80925897ce579904b0030faa58f0a15f88bc27b33a6a8f707079751c22d96"),
+            ("l15-hints-dup-budget", 600, False, 189, "07b7b502fbc6d74970f828436cfeb5e228066c4d608cb9c55bc8d29bb48ae5ea"),
+            ("l15-sample-exhausted", 3432, True, 5512, "ba5c0e547f9b30e8163fc885b39dd49ea0ed63e6f044475c5a55b0c07db406a4"),
+            ("l71-sample", 1500, False, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ],
+    )
+    def test_pinned(self, name, nodes, exhausted, count, digest):
+        ell, cfg = ORBIT_CASES[name]()
+        res = orbit_search(ell, cfg)
+        assert res.nodes_visited == nodes
+        assert res.exhausted == exhausted
+        assert len(res.pairs) == count
+        assert orbit_sha256(res) == digest
