@@ -12,18 +12,18 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .candgen import CandidatePair
-from .grouptools import (
-    LexRankCode,
-    block_from_codes,
-    orbits,
-    sequence_from_block,
-)
-from .seqcore import compress, paf, paf_vector, psd_vector, verify_legendre_pair
+from .grouptools import LexRankCode, lex_unrank_masks, orbits
+from .seqcore import compress, paf, psd_vector, verify_legendre_pair
+
+# No search calls these any more; the benchmark's tracer (bench/tracing.py)
+# rebinds them by name in this module, so they stay importable from it.
+from .grouptools import block_from_codes, sequence_from_block  # noqa: F401
+from .seqcore import paf_vector  # noqa: F401
 
 PSD_CEILING_TOL = 1e-6
 
@@ -126,6 +126,12 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         for row in (cand.a, cand.b)
     ]
     own = shifts[shifts % d == 0]  # shifts that pair a class with itself
+    # Every product is ±1, so per shift a partial PAF plus its unknown
+    # products is ≡ ℓ (mod 2).  Hence the joint bound's gap minus slack is
+    # always even, and the class bound's is ≡ its target minus ℓ times the
+    # shifts in the class for every option at every depth: one parity test
+    # per candidate (it fails for m = 2).
+    parity_ok = all(((t - ell * fold.sum(0)) % 2 == 0).all() for t in targets)
 
     rng = random.Random(cfg.seed)
     values, intra, slack = [], [], []
@@ -165,7 +171,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         new = part[side] + gain
         gap = np.concatenate((-2 - new - part[1 - side], targets[side] - new @ fold), 1)
         lim = slack[depth]
-        ok = ~((np.abs(gap) > lim) | ((gap - lim) & 1).astype(bool)).any(1)
+        ok = ~(np.abs(gap) > lim).any(1)
         if cfg.psd_prune and depth == a_last_step and ok.any():
             idx = np.flatnonzero(ok)
             full = np.repeat(rows[:1], len(idx), 0)
@@ -176,6 +182,8 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
 
     nodes, budget, stop = 0, cfg.budget_nodes, False
     stack = [score(0, (np.zeros(nshifts, np.int64), np.zeros(nshifts, np.int64)))]
+    if not parity_ok:  # no option of any depth passes: walk depth 0 as pruned
+        stack[0][1] = []
     while stack:
         frame = stack[-1]
         depth, live, new, part, pos, taken = frame
@@ -222,6 +230,42 @@ def _selection_hash(seed: int, index: int, space1: int, space2: int) -> Tuple[in
     return (v % space1, (v // space1) % space2)
 
 
+# Selections decoded and filtered per numpy pass.  Results do not depend on
+# it: survivors are matched one by one in selection order.
+CHUNK = 512
+
+
+def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[Tuple[int, int]]:
+    """Every (ones_rank, twos_rank) selection at most once, in search order:
+    the hints, then the rank-order scan or the seeded sampling."""
+    k1, k2 = cfg.ones_orbits, cfg.twos_orbits
+    space1, space2 = math.comb(n1, k1), math.comb(n2, k2)
+    seen: Set[Tuple[int, int]] = set()
+    for rank1, rank2 in cfg.hint_codes:
+        key = (rank1, rank2)
+        if key in seen:
+            continue
+        LexRankCode(n1, k1, rank1)  # raises GroupError on an out-of-range hint
+        if n2:
+            LexRankCode(n2, k2, rank2)
+        seen.add(key)
+        yield key
+    if cfg.exhaustive:
+        # rank order never repeats, so only the hints need skipping
+        for rank1 in range(space1):
+            for rank2 in range(space2):
+                if (rank1, rank2) not in seen:
+                    yield rank1, rank2
+        return
+    index = 0
+    while len(seen) < space1 * space2:
+        key = _selection_hash(cfg.seed, index, space1, space2)
+        index += 1
+        if key not in seen:
+            seen.add(key)
+            yield key
+
+
 def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     """Search block sequences built from whole multiplier orbits.
 
@@ -229,6 +273,12 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     then a PSD ceiling); stage 2 pairs up pool members whose PAF vectors are
     exact complements.  Selections arrive from warm-start hints, then either
     an exhaustive scan or seeded counter-based sampling without replacement.
+
+    Selections are decoded and filtered CHUNK at a time: LexRank masks pick
+    orbit columns into a (chunk × ℓ) ±1 matrix, the square-sum and the PSD
+    ceiling run on the whole stack, and exact integer PAF rows are computed
+    for the survivors only.  Survivors enter the pool in selection order, so
+    budgets and max_solutions stop at the same selection as one at a time.
     """
     cfg.validate()
     if cfg.strategy != "orbit_restricted":
@@ -246,98 +296,66 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
         raise SearchConfigError(
             f"selection counts ({k1},{k2}) give block size {k1 + 2 * k2}, need {want}"
         )
-    space1, space2 = math.comb(n1, k1), math.comb(n2, k2)
     m5 = ell // 5 if ell % 5 == 0 else None
     psd_limit = 2 * ell + 2 + PSD_CEILING_TOL
+    # Entry i of a sequence is residue i + 1, and the last entry is residue 0
+    # (always +1), as in sequence_from_block.  column[i] is the mask column of
+    # the orbit holding that residue, in [ones | twos | never selected].
+    column = np.full(ell, n1 + n2)
+    for c, orb in enumerate(table.orbits_by_size.get(1, []) + table.orbits_by_size.get(2, [])):
+        column[[r - 1 for r in orb]] = c
 
     result = SearchResult()
-    pool_by_paf: Dict[Tuple[int, ...], List[int]] = {}
+    pool: Dict[bytes, List[int]] = {}  # PAF at shifts 1..ℓ//2 -> pool indices
     pool_seqs: List[Tuple[int, ...]] = []
     pool_codes: List[dict] = []
-
-    def codes_dict(code1: LexRankCode, code2: Optional[LexRankCode]) -> dict:
-        out = {1: (code1.n, code1.k, code1.rank)}
-        if code2 is not None:
-            out[2] = (code2.n, code2.k, code2.rank)
-        return out
-
-    def consider(rank1: int, rank2: int) -> None:
-        codes = {1: LexRankCode(n1, k1, rank1)}
+    stream = _selections(cfg, n1, n2)
+    nodes, stop, rest = 0, False, []
+    while not stop and nodes < cfg.budget_nodes:
+        batch = list(itertools.islice(stream, min(CHUNK, cfg.budget_nodes - nodes)))
+        if not batch:
+            break
+        ranks1, ranks2 = zip(*batch)
+        masks = [lex_unrank_masks(n1, k1, ranks1)]
         if n2:
-            codes[2] = LexRankCode(n2, k2, rank2)
-        block = block_from_codes(table, codes)
-        seq = sequence_from_block(block)
+            masks.append(lex_unrank_masks(n2, k2, ranks2))
+        masks.append(np.zeros((len(batch), 1), dtype=bool))
+        rows = np.where(np.concatenate(masks, 1)[:, column], np.int8(-1), np.int8(1))
+        live = np.arange(len(batch))
         if m5 is not None and cfg.p2_prefilter:
-            if paf(compress(seq, m5), 0) != 4 * m5 + 1:
-                return
-        if cfg.psd_prune:
-            spec = psd_vector(seq)
-            if max(spec[1:]) > psd_limit:
-                return
-        pv = tuple(paf_vector(seq)[1 : ell // 2 + 1])
-        comp = tuple(-2 - v for v in pv)
-        my_index = len(pool_seqs)
-        pool_seqs.append(seq)
-        pool_codes.append(codes_dict(codes[1], codes.get(2)))
-        pool_by_paf.setdefault(pv, []).append(my_index)
-        for other in pool_by_paf.get(comp, []):
-            if comp == pv and other == my_index:
-                continue  # self-pairing handled below
-            A, B = pool_seqs[other], seq
-            rep = verify_legendre_pair(A, B)
-            if rep.is_legendre_pair:
-                result.pairs.append((A, B))
-                result.codes.append((pool_codes[other], pool_codes[my_index]))
-        if comp == pv:
-            rep = verify_legendre_pair(seq, seq)
-            if rep.is_legendre_pair:
+            compressed = rows.reshape(len(batch), m5, 5).sum(1)
+            live = live[(compressed * compressed).sum(1) == 4 * m5 + 1]
+        if cfg.psd_prune and live.size:
+            live = live[psd_vector(rows[live])[:, 1:].max(1) <= psd_limit]
+        rows = rows[live]
+        twice = np.concatenate((rows, rows), 1)
+        pafs = np.empty((len(rows), ell // 2), dtype=np.int32)
+        for s in range(1, ell // 2 + 1):
+            pafs[:, s - 1] = (rows * twice[:, s : s + ell]).sum(1)
+
+        for i, row, pv, cv in zip(live.tolist(), rows.tolist(), pafs, -2 - pafs):
+            rank1, rank2 = batch[i]
+            seq = tuple(row)
+            codes = {1: (n1, k1, rank1)}
+            if n2:
+                codes[2] = (n2, k2, rank2)
+            key, comp = pv.tobytes(), cv.tobytes()
+            mine = len(pool_seqs)
+            pool_seqs.append(seq)
+            pool_codes.append(codes)
+            pool.setdefault(key, []).append(mine)
+            for other in pool.get(comp, ()):
+                if other != mine and verify_legendre_pair(pool_seqs[other], seq).is_legendre_pair:
+                    result.pairs.append((pool_seqs[other], seq))
+                    result.codes.append((pool_codes[other], codes))
+            if comp == key and verify_legendre_pair(seq, seq).is_legendre_pair:
                 result.pairs.append((seq, seq))
-                result.codes.append((pool_codes[my_index], pool_codes[my_index]))
+                result.codes.append((codes, codes))
+            if cfg.max_solutions and len(result.pairs) >= cfg.max_solutions:
+                stop, rest = True, batch[i + 1 :]
+                break
+        nodes += len(batch) - len(rest)
 
-    def hit_limits() -> bool:
-        if cfg.max_solutions and len(result.pairs) >= cfg.max_solutions:
-            return True
-        return result.nodes_visited >= cfg.budget_nodes
-
-    seen: Set[Tuple[int, int]] = set()
-    for rank1, rank2 in cfg.hint_codes:
-        if hit_limits():
-            break
-        key = (rank1, rank2)
-        if key in seen:
-            continue
-        seen.add(key)
-        result.nodes_visited += 1
-        consider(rank1, rank2)
-
-    complete = False
-    if cfg.exhaustive:
-        complete = True
-        for rank1 in range(space1):
-            for rank2 in range(space2):
-                if (rank1, rank2) in seen:
-                    continue
-                if hit_limits():
-                    complete = False
-                    break
-                seen.add((rank1, rank2))
-                result.nodes_visited += 1
-                consider(rank1, rank2)
-            else:
-                continue
-            break
-    else:
-        index = 0
-        total = space1 * space2
-        while not hit_limits() and len(seen) < total:
-            r1, r2 = _selection_hash(cfg.seed, index, space1, space2)
-            index += 1
-            if (r1, r2) in seen:
-                continue
-            seen.add((r1, r2))
-            result.nodes_visited += 1
-            consider(r1, r2)
-        complete = len(seen) >= total
-
-    result.exhausted = complete
+    result.nodes_visited = nodes
+    result.exhausted = not rest and next(stream, None) is None
     return result

@@ -7,9 +7,12 @@ and turns the union of selected orbits into the -1 positions of a sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .seqcore import SequenceError
 
@@ -84,6 +87,47 @@ def lex_unrank(n: int, k: int, rank: int) -> Tuple[int, ...]:
             r -= block
             v += 1
     return tuple(subset)
+
+
+@functools.lru_cache(maxsize=64)
+def _lex_blocks(n: int, k: int) -> np.ndarray:
+    """block[v-1, j]: the k-subsets that take v with j elements still to
+    place, C(n - v, j - 1); 0 for j = 0.  A rank is below C(n, k), so capping
+    a block there changes no decision and keeps int64 exact when it fits."""
+    total = math.comb(n, k)
+    block = np.array(
+        [[0] + [min(math.comb(n - v, j - 1), total) for j in range(1, k + 1)]
+         for v in range(1, n + 1)],
+        dtype=np.int64 if total < 2**63 else object,
+    ).reshape(n, k + 1)
+    block.flags.writeable = False
+    return block
+
+
+def lex_unrank_masks(n: int, k: int, ranks: Sequence[int]) -> np.ndarray:
+    """Batched lex_unrank: row r is the membership mask of the ranks[r]-th
+    k-subset of {1..n}, with column v-1 set when element v is in it.
+
+    Exact integer work: ranks are int64 when C(n, k) < 2**63 and Python ints
+    (object dtype) otherwise.
+    """
+    if k < 0 or k > n:
+        raise GroupError(f"subset size {k} out of range for universe {n}")
+    total = math.comb(n, k)
+    block = _lex_blocks(n, k)
+    r = np.array(ranks, dtype=block.dtype).reshape(-1)
+    bad = (r < 0) | (r >= total)
+    if bad.any():
+        raise GroupError(f"rank {r[bad.argmax()]} out of range [0, {total})")
+    left = np.full(len(r), k)
+    masks = np.zeros((len(r), n), dtype=bool)
+    for v in range(n):
+        size = block[v][left]
+        take = r < size
+        masks[:, v] = take
+        r = np.where(take, r, r - size)
+        left -= take
+    return masks
 
 
 def lex_rank(n: int, subset: Iterable[int]) -> int:

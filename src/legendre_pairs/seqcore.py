@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 SQRT5 = math.sqrt(5.0)
 
@@ -52,9 +53,19 @@ def paf(seq: Sequence[int], s: int) -> int:
 
 
 def paf_vector(seq: Sequence[int]) -> Tuple[int, ...]:
-    """All PAF values; index s holds paf(seq, s)."""
+    """All PAF values; index s holds paf(seq, s).
+
+    Exact integer arithmetic: the rotations of the sequence, gathered as a
+    strided view, times the sequence.  int64 while no sum can overflow it,
+    Python ints (object dtype) otherwise.
+    """
     n = len(seq)
-    return tuple(sum(seq[i] * seq[(i + s) % n] for i in range(n)) for s in range(n))
+    big = n > 0 and int(max(map(abs, seq))) ** 2 * n >= 2**63
+    a = np.array(seq, dtype=object if big else np.int64)
+    twice = np.concatenate((a, a))
+    step = twice.strides[0]
+    rotations = as_strided(twice, (n, n), (step, step), writeable=False)  # [s, i] = a[i + s]
+    return tuple((rotations @ a).tolist())
 
 
 def psd(seq: Sequence[int], k: int) -> float:

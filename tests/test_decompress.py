@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legendre_pairs import decompress
 from legendre_pairs.candgen import CandidatePair, candidates_d5
 from legendre_pairs.decompress import (
     SearchConfig,
@@ -418,32 +419,43 @@ ORBIT_CASES = {
 }
 
 
+ORBIT_PINS = {  # case: (nodes, exhausted, pairs, orbit_sha256)
+    "l85-hints-sample": (5000, False, 4, "e518bd7db7fac9036802b87737a4df67e1a4af814d128d2cbbd7523cf7fbe474"),
+    "l21-scan": (20000, False, 756, "f73852a525173806f7d78c34df795955b6d27ee6e04726a872f77c258f61f7c8"),
+    "l21-scan-max1": (3448, False, 2, "55948bb613db05e004f8c89a90f06de1fe496405eeeef299cb6fdef7f000dd3d"),
+    "l21-scan-max50": (5948, False, 51, "6c634f02a14bf1b97d2cab8ad63aee46b5430d6c21f4049202bd0b0bf8f7e838"),
+    "l21-scan-budget1300": (1300, False, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "l15-exhaustive-p2": (3432, True, 3464, "1c6ab61191e521c9cc7ca1a846b6a2673ae21babbba640739a402583cc12c7d4"),
+    "l15-exhaustive-nop2": (3432, True, 5512, "6270aebe9cc82aad6895002bc4104b7d23fd70189cbff2a448c5c12cfdb5b545"),
+    "l15-exhaustive-nopsd": (3432, True, 5512, "6270aebe9cc82aad6895002bc4104b7d23fd70189cbff2a448c5c12cfdb5b545"),
+    "l15-hints-dup": (3432, True, 5512, "9bc80925897ce579904b0030faa58f0a15f88bc27b33a6a8f707079751c22d96"),
+    "l15-hints-dup-budget": (600, False, 189, "07b7b502fbc6d74970f828436cfeb5e228066c4d608cb9c55bc8d29bb48ae5ea"),
+    "l15-sample-exhausted": (3432, True, 5512, "ba5c0e547f9b30e8163fc885b39dd49ea0ed63e6f044475c5a55b0c07db406a4"),
+    "l71-sample": (1500, False, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
 class TestOrbitPinned:
     """Exact orbit-search results: nodes, exhaustion and the pairs with their
     codes in emission order.  Budgets count selections, so any engine must
     consider the same selections in the same order and stop at the same one."""
 
-    @pytest.mark.parametrize(
-        "name,nodes,exhausted,count,digest",
-        [
-            ("l85-hints-sample", 5000, False, 4, "e518bd7db7fac9036802b87737a4df67e1a4af814d128d2cbbd7523cf7fbe474"),
-            ("l21-scan", 20000, False, 756, "f73852a525173806f7d78c34df795955b6d27ee6e04726a872f77c258f61f7c8"),
-            ("l21-scan-max1", 3448, False, 2, "55948bb613db05e004f8c89a90f06de1fe496405eeeef299cb6fdef7f000dd3d"),
-            ("l21-scan-max50", 5948, False, 51, "6c634f02a14bf1b97d2cab8ad63aee46b5430d6c21f4049202bd0b0bf8f7e838"),
-            ("l21-scan-budget1300", 1300, False, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-            ("l15-exhaustive-p2", 3432, True, 3464, "1c6ab61191e521c9cc7ca1a846b6a2673ae21babbba640739a402583cc12c7d4"),
-            ("l15-exhaustive-nop2", 3432, True, 5512, "6270aebe9cc82aad6895002bc4104b7d23fd70189cbff2a448c5c12cfdb5b545"),
-            ("l15-exhaustive-nopsd", 3432, True, 5512, "6270aebe9cc82aad6895002bc4104b7d23fd70189cbff2a448c5c12cfdb5b545"),
-            ("l15-hints-dup", 3432, True, 5512, "9bc80925897ce579904b0030faa58f0a15f88bc27b33a6a8f707079751c22d96"),
-            ("l15-hints-dup-budget", 600, False, 189, "07b7b502fbc6d74970f828436cfeb5e228066c4d608cb9c55bc8d29bb48ae5ea"),
-            ("l15-sample-exhausted", 3432, True, 5512, "ba5c0e547f9b30e8163fc885b39dd49ea0ed63e6f044475c5a55b0c07db406a4"),
-            ("l71-sample", 1500, False, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-        ],
-    )
-    def test_pinned(self, name, nodes, exhausted, count, digest):
+    @pytest.mark.parametrize("name", ORBIT_PINS)
+    def test_pinned(self, name):
+        nodes, exhausted, count, digest = ORBIT_PINS[name]
         ell, cfg = ORBIT_CASES[name]()
         res = orbit_search(ell, cfg)
         assert res.nodes_visited == nodes
         assert res.exhausted == exhausted
         assert len(res.pairs) == count
         assert orbit_sha256(res) == digest
+
+    @pytest.mark.parametrize("chunk", [1, 7, decompress.CHUNK])
+    @pytest.mark.parametrize("name", [
+        "l21-scan-max1", "l21-scan-budget1300", "l15-hints-dup-budget", "l15-sample-exhausted",
+    ])
+    def test_chunk_size_invariant(self, monkeypatch, chunk, name):
+        """Any chunk size gives the pinned results: a max_solutions or budget
+        stop inside a chunk, hints with repeats, sampling to exhaustion."""
+        monkeypatch.setattr(decompress, "CHUNK", chunk)
+        self.test_pinned(name)

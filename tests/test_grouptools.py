@@ -15,6 +15,7 @@ from legendre_pairs.grouptools import (
     codes_from_block,
     lex_rank,
     lex_unrank,
+    lex_unrank_masks,
     orbits,
     sequence_from_block,
 )
@@ -105,6 +106,31 @@ class TestLexRank:
             lex_unrank(6, 3, math.comb(6, 3))
         with pytest.raises(GroupError):
             lex_rank(6, (1, 2, 7))
+
+    @staticmethod
+    def assert_masks_decode(n, k, ranks):
+        masks = lex_unrank_masks(n, k, ranks)
+        assert masks.shape == (len(ranks), n)
+        for rank, row in zip(ranks, masks):
+            assert tuple(v + 1 for v in range(n) if row[v]) == lex_unrank(n, k, rank)
+
+    def test_masks_every_rank_small(self):
+        for n in range(11):
+            for k in range(n + 1):
+                self.assert_masks_decode(n, k, list(range(math.comb(n, k))))
+
+    @pytest.mark.parametrize("n,k", [(16, 12), (34, 15), (70, 35)])
+    def test_masks_sampled(self, n, k):
+        # C(70, 35) > 2**63: ranks are decoded as Python ints
+        total = math.comb(n, k)
+        rnd = random.Random(n)
+        self.assert_masks_decode(n, k, [0, total - 1] + [rnd.randrange(total) for _ in range(300)])
+
+    def test_masks_rank_out_of_range(self):
+        for n, k in ((6, 3), (70, 35)):
+            for bad in (-1, math.comb(n, k)):
+                with pytest.raises(GroupError, match=f"rank {bad} out of range"):
+                    lex_unrank_masks(n, k, [0, bad])
 
     def test_counting(self):
         assert math.comb(16, 12) == 1820

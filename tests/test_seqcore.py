@@ -73,6 +73,28 @@ class TestPafVector:
         v = paf_vector([3, 1, 1, 3, -7])
         assert v[1] == -35 and v[2] == 1
 
+    def test_matches_definition(self):
+        """The numpy path against the O(ℓ²) definition, exactly and as
+        Python ints: random ±1 sequences, integer rows and the witnesses."""
+
+        def definition(seq):
+            n = len(seq)
+            return tuple(sum(seq[i] * seq[(i + s) % n] for i in range(n)) for s in range(n))
+
+        rnd = random.Random(5)
+        seqs = [[rnd.choice([-1, 1]) for _ in range(n)] for n in range(3, 202)]
+        seqs += [(3, 1, 1, 3, -7), (1, 3, 3, 1, -7), (5, -3, 1), (), (2**40, -3, 5), (10**30, 1)]
+        seqs += [tuple(rnd.randrange(-9, 10) for _ in range(rnd.randrange(1, 40))) for _ in range(50)]
+        data85 = ell85()["first_pair"]
+        for block in (data85["a_block"], data85["b_block"]):
+            seqs.append([-1 if ((i + 1) % 85) in set(block) else 1 for i in range(85)])
+        for pair in ell87()["pairs"]:
+            seqs += [pair["a"], pair["b"]]
+        for seq in seqs:
+            v = paf_vector(seq)
+            assert v == definition(seq)
+            assert all(type(x) is int for x in v)
+
     def test_symmetry(self):
         rnd = random.Random(3)
         for _ in range(50):
