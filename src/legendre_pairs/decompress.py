@@ -240,30 +240,32 @@ def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[Tuple[int, int]
     the hints, then the rank-order scan or the seeded sampling."""
     k1, k2 = cfg.ones_orbits, cfg.twos_orbits
     space1, space2 = math.comb(n1, k1), math.comb(n2, k2)
-    seen: Set[Tuple[int, int]] = set()
+    # a selection is seen as the one int rank2 * space1 + rank1 (0 <= rank1 <
+    # space1), half the memory of the tuple over a long sampling run
+    seen: Set[int] = set()
     for rank1, rank2 in cfg.hint_codes:
-        key = (rank1, rank2)
-        if key in seen:
-            continue
         LexRankCode(n1, k1, rank1)  # raises GroupError on an out-of-range hint
         if n2:
             LexRankCode(n2, k2, rank2)
-        seen.add(key)
-        yield key
+        key = rank2 * space1 + rank1
+        if key not in seen:
+            seen.add(key)
+            yield rank1, rank2
     if cfg.exhaustive:
         # rank order never repeats, so only the hints need skipping
         for rank1 in range(space1):
             for rank2 in range(space2):
-                if (rank1, rank2) not in seen:
+                if rank2 * space1 + rank1 not in seen:
                     yield rank1, rank2
         return
     index = 0
     while len(seen) < space1 * space2:
-        key = _selection_hash(cfg.seed, index, space1, space2)
+        rank1, rank2 = _selection_hash(cfg.seed, index, space1, space2)
         index += 1
+        key = rank2 * space1 + rank1
         if key not in seen:
             seen.add(key)
-            yield key
+            yield rank1, rank2
 
 
 def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
