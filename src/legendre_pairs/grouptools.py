@@ -91,9 +91,10 @@ def lex_unrank(n: int, k: int, rank: int) -> Tuple[int, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _lex_blocks(n: int, k: int) -> np.ndarray:
-    """block[v-1, j]: the k-subsets that take v with j elements still to
-    place, C(n - v, j - 1); 0 for j = 0.  A rank is below C(n, k), so capping
-    a block there changes no decision and keeps int64 exact when it fits."""
+    """block[v-1, j] = C(n - v, j - 1): the subsets that take v when j
+    elements are still to be placed (0 when none are).  A rank is below
+    C(n, k), so capping a block there changes no decision of the decode and
+    keeps int64 exact whenever C(n, k) fits."""
     total = math.comb(n, k)
     block = np.array(
         [[0] + [min(math.comb(n - v, j - 1), total) for j in range(1, k + 1)]
@@ -120,14 +121,14 @@ def lex_unrank_masks(n: int, k: int, ranks: Sequence[int]) -> np.ndarray:
     if bad.any():
         raise GroupError(f"rank {r[bad.argmax()]} out of range [0, {total})")
     left = np.full(len(r), k)
-    masks = np.zeros((len(r), n), dtype=bool)
-    for v in range(n):
-        size = block[v][left]
-        take = r < size
-        masks[:, v] = take
-        r = np.where(take, r, r - size)
+    masks = np.empty((n, len(r)), dtype=bool)
+    for v, row in enumerate(block):  # as lex_unrank: take v, or skip its block
+        size = row[left]
+        take = np.less(r, size, out=masks[v])
+        size[take] = 0
+        r -= size
         left -= take
-    return masks
+    return masks.T
 
 
 def lex_rank(n: int, subset: Iterable[int]) -> int:

@@ -55,17 +55,31 @@ def paf(seq: Sequence[int], s: int) -> int:
 def paf_vector(seq: Sequence[int]) -> Tuple[int, ...]:
     """All PAF values; index s holds paf(seq, s).
 
-    Exact integer arithmetic: the rotations of the sequence, gathered as a
-    strided view, times the sequence.  int64 while no sum can overflow it,
-    Python ints (object dtype) otherwise.
+    Exact: int64 while no sum can overflow it, Python ints (object dtype)
+    otherwise.
     """
     n = len(seq)
     big = n > 0 and int(max(map(abs, seq))) ** 2 * n >= 2**63
-    a = np.array(seq, dtype=object if big else np.int64)
-    twice = np.concatenate((a, a))
-    step = twice.strides[0]
-    rotations = as_strided(twice, (n, n), (step, step), writeable=False)  # [s, i] = a[i + s]
-    return tuple((rotations @ a).tolist())
+    return tuple(paf_rows(np.array(seq, dtype=object if big else np.int64), n).tolist())
+
+
+def paf_rows(rows: np.ndarray, count: int) -> np.ndarray:
+    """PAF at shifts 0..count-1 of each sequence along the last axis.
+
+    A strided view of the rotations (no copy) contracted with the rows, in
+    the rows' own integer dtype: exact when no sum overflows it, and memory
+    stays O(rows × ℓ).
+    """
+    n = rows.shape[-1]
+    if not 0 <= count <= n:  # the view must stay inside the doubled rows
+        raise SequenceError(f"shift count {count} out of range for length {n}")
+    twice = np.concatenate((rows, rows), -1)
+    step = twice.strides[-1]
+    rotations = as_strided(  # [..., s, i] = rows[..., (i + s) mod n]
+        twice, rows.shape[:-1] + (count, n), twice.strides[:-1] + (step, step),
+        writeable=False,
+    )
+    return np.einsum("...si,...i->...s", rotations, rows)
 
 
 def psd(seq: Sequence[int], k: int) -> float:

@@ -15,6 +15,7 @@ from legendre_pairs.seqcore import (
     format_sequence,
     normalize_pm_one,
     paf,
+    paf_rows,
     paf_vector,
     parse_sequence,
     psd,
@@ -94,6 +95,12 @@ class TestPafVector:
             v = paf_vector(seq)
             assert v == definition(seq)
             assert all(type(x) is int for x in v)
+
+    def test_rows_stacked_and_count_checked(self):
+        rows = np.array([[1, 1, -1, 1, -1], [3, 1, 1, 3, -7]], dtype=np.int64)
+        assert paf_rows(rows, 3).tolist() == [list(paf_vector(r))[:3] for r in rows.tolist()]
+        with pytest.raises(SequenceError):
+            paf_rows(rows, 6)
 
     def test_symmetry(self):
         rnd = random.Random(3)
