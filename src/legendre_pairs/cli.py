@@ -139,12 +139,20 @@ def _write_manifest(out: str, args, t0: float, inputs: dict, text: str) -> None:
 
 def _write_pairs(args, t0: float, inputs: dict, results, unit: str) -> int:
     """Write the pairs of ``results`` as text to --out, with a .json sidecar
-    and a manifest, or to stdout without --out; print the summary line."""
+    and a manifest, or to stdout without --out; print the summary line.
+
+    Every pair is verified here, the one check on engine output: a pair that
+    fails exits 1 before anything is written."""
     lines, records = [], []
     for res in results:
         for (A, B), codes in zip(res.pairs, res.codes):
+            rep = verify_legendre_pair(A, B)
+            if not rep.is_legendre_pair:
+                print(f"error: output pair {len(records)} is not a Legendre pair "
+                      f"(failing shift {rep.failing_shift})", file=sys.stderr)
+                return EXIT_NEGATIVE
             lines += [format_sequence(A), format_sequence(B)]
-            records.append({"x": verify_legendre_pair(A, B).x_value, "codes": codes})
+            records.append({"x": rep.x_value, "codes": codes})
     text = "\n".join(lines) + ("\n" if lines else "")
     nodes = sum(res.nodes_visited for res in results)
     exhausted = all(res.exhausted for res in results)

@@ -18,12 +18,12 @@ import numpy as np
 
 from .candgen import CandidatePair
 from .grouptools import LexRankCode, lex_unrank_masks, orbits
-from .seqcore import compress, paf, paf_rows, psd_vector, verify_legendre_pair
+from .seqcore import paf, paf_rows, psd_vector
 
 # No search calls these any more; the benchmark's tracer (bench/tracing.py)
 # rebinds them by name in this module, so they stay importable from it.
 from .grouptools import block_from_codes, sequence_from_block  # noqa: F401
-from .seqcore import paf_vector  # noqa: F401
+from .seqcore import compress, paf_vector, verify_legendre_pair  # noqa: F401
 
 PSD_CEILING_TOL = 1e-6
 
@@ -81,9 +81,11 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
 
     Entries are assigned a whole residue class at a time, sides interleaved
     within a class; each class j of a side has exactly (m - row_j)/2 entries
-    equal to -1.  Pruning: joint PAF interval/parity bounds per shift, the
-    per-side compression identity per shift class mod d, plus an optional PSD
-    ceiling on the completed A side.
+    equal to -1, so every completion compresses to the candidate.  Pruning:
+    the joint PAF interval bound per shift, a parity test per candidate, plus
+    an optional PSD ceiling on the completed A side.  A leaf has no unknown
+    product left, so there the joint bound is PAF_A(s) + PAF_B(s) = -2 on
+    shifts 1..ℓ//2: every leaf reached is a pair and is emitted as it is.
 
     Every option of a depth is scored at once when the search enters it: the
     PAF gain of option v in class j is ``v @ C_j`` plus a term of v alone at
@@ -114,24 +116,20 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     # the second term from the class's own entry, still 0 while it is scored
     minus = np.where(minus == plus, classes[:, :, None], minus)
 
-    # Shift classes mod d and their exact per-side targets from the
-    # compression identity: sum of PAF(j) over j ≡ ±c (mod d), folded onto
-    # tracked shifts 1..ℓ//2, equals paf(compressed, c) (halved for c = 0,
-    # net of PAF(0) = ℓ).
-    shift_class = np.minimum(shifts % d, -shifts % d)
-    class_ids = sorted(set(shift_class.tolist()))
-    fold = (shift_class[:, None] == class_ids).astype(np.int64)
-    targets = [
-        np.array([(paf(row, 0) - ell) // 2 if c == 0 else paf(row, c) for c in class_ids])
-        for row in (cand.a, cand.b)
-    ]
     own = shifts[shifts % d == 0]  # shifts that pair a class with itself
-    # Every product is ±1, so per shift a partial PAF plus its unknown
-    # products is ≡ ℓ (mod 2).  Hence the joint bound's gap minus slack is
-    # always even, and the class bound's is ≡ its target minus ℓ times the
-    # shifts in the class for every option at every depth: one parity test
-    # per candidate (it fails for m = 2).
-    parity_ok = all(((t - ell * fold.sum(0)) % 2 == 0).all() for t in targets)
+    # Every product is ±1, so a PAF is ≡ ℓ (mod 2) and the joint bound's gap
+    # minus slack is always even.  Per shift class c = ±s mod d, the
+    # compression identity fixes each side's PAF summed over the class's
+    # tracked shifts (paf(row, c); halved net of PAF(0) = ℓ for c = 0), so it
+    # must be ≡ ℓ times their count: one parity test per candidate.  At even
+    # ℓ the half-period shift gets half weight and m = 2 always fails; no
+    # even-length pair exists (σ_A² + σ_B² would be 2).
+    shift_class = np.minimum(shifts % d, -shifts % d).tolist()
+    parity_ok = all(
+        ((paf(row, 0) - ell) // 2 if c == 0 else paf(row, c)) % 2 == ell * shift_class.count(c) % 2
+        for row in (cand.a, cand.b)
+        for c in set(shift_class)
+    )
 
     rng = random.Random(cfg.seed)
     values, intra, slack = [], [], []
@@ -151,9 +149,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         done = seen[side, minus[j]].sum(0)
         seen[side, classes[j]] = True
         unknown[side] -= done + seen[side, plus[j]].sum(0)
-        # bound limits after this step: unknowns per shift of both sides,
-        # then per shift class of this side
-        slack.append(np.concatenate((unknown.sum(0), unknown[side] @ fold)))
+        slack.append(unknown.sum(0))  # the bound's limit per shift after this step
 
     result = SearchResult()
     psd_limit = 2 * ell + 2 + PSD_CEILING_TOL
@@ -169,9 +165,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         gain = v @ (rows[side, plus[j]] + rows[side, minus[j]])
         gain[:, own - 1] += intra[depth]
         new = part[side] + gain
-        gap = np.concatenate((-2 - new - part[1 - side], targets[side] - new @ fold), 1)
-        lim = slack[depth]
-        ok = ~(np.abs(gap) > lim).any(1)
+        ok = ~(np.abs(-2 - new - part[1 - side]) > slack[depth]).any(1)
         if cfg.psd_prune and depth == a_last_step and ok.any():
             idx = np.flatnonzero(ok)
             full = np.repeat(rows[:1], len(idx), 0)
@@ -208,14 +202,11 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         if depth + 1 < len(steps):
             stack.append(score(depth + 1, child))
             continue
-        A, B = tuple(rows[0].tolist()), tuple(rows[1].tolist())
-        rep = verify_legendre_pair(A, B)
-        if rep.is_legendre_pair and compress(A, m) == cand.a and compress(B, m) == cand.b:
-            result.pairs.append((A, B))
-            result.codes.append(None)
-            if cfg.max_solutions and len(result.pairs) >= cfg.max_solutions:
-                stop = True
-                break
+        result.pairs.append((tuple(rows[0].tolist()), tuple(rows[1].tolist())))
+        result.codes.append(None)
+        if cfg.max_solutions and len(result.pairs) >= cfg.max_solutions:
+            stop = True
+            break
     result.nodes_visited = nodes
     result.exhausted = not stop
     return result
@@ -245,9 +236,10 @@ def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[Tuple[int, int]
     # space1), half the memory of the tuple over a long sampling run
     seen: Set[int] = set()
     for rank1, rank2 in cfg.hint_codes:
-        LexRankCode(n1, k1, rank1)  # raises GroupError on an out-of-range hint
-        if n2:
-            LexRankCode(n2, k2, rank2)
+        # raise GroupError on an out-of-range hint; with no 2-orbits the only
+        # twos rank is 0
+        LexRankCode(n1, k1, rank1)
+        LexRankCode(n2, k2, rank2)
         key = rank2 * space1 + rank1
         if key not in seen:
             seen.add(key)
@@ -273,8 +265,9 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     """Search block sequences built from whole multiplier orbits.
 
     Stage 1 filters each selection (exact compressed square-sum when 5 | ℓ,
-    then a PSD ceiling); stage 2 pairs up pool members whose PAF vectors are
-    exact complements.  Selections arrive from warm-start hints, then either
+    then a PSD ceiling); stage 2 matches pool members whose PAF vectors are
+    exact complements, PAF_A + PAF_B = -2, so every match is a pair and is
+    emitted unchecked.  Selections arrive from warm-start hints, then either
     an exhaustive scan or seeded counter-based sampling without replacement.
 
     Selections are decoded and filtered CHUNK at a time: LexRank masks pick
@@ -319,10 +312,8 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
         if not batch:
             break
         ranks1, ranks2 = zip(*batch)
-        masks = [lex_unrank_masks(n1, k1, ranks1)]
-        if n2:
-            masks.append(lex_unrank_masks(n2, k2, ranks2))
-        masks.append(np.zeros((len(batch), 1), dtype=bool))
+        masks = (lex_unrank_masks(n1, k1, ranks1), lex_unrank_masks(n2, k2, ranks2),
+                 np.zeros((len(batch), 1), dtype=bool))
         rows = np.where(np.concatenate(masks, 1)[:, column], np.int8(-1), np.int8(1))
         live = np.arange(len(batch))
         if m5 is not None and cfg.p2_prefilter:
@@ -339,18 +330,15 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
             codes = {1: (n1, k1, rank1)}
             if n2:
                 codes[2] = (n2, k2, rank2)
-            key, comp = pv.tobytes(), cv.tobytes()
-            mine = len(pool_seqs)
+            pool.setdefault(pv.tobytes(), []).append(len(pool_seqs))
             pool_seqs.append(seq)
             pool_codes.append(codes)
-            pool.setdefault(key, []).append(mine)
-            for other in pool.get(comp, ()):
-                if other != mine and verify_legendre_pair(pool_seqs[other], seq).is_legendre_pair:
-                    result.pairs.append((pool_seqs[other], seq))
-                    result.codes.append((pool_codes[other], codes))
-            if comp == key and verify_legendre_pair(seq, seq).is_legendre_pair:
-                result.pairs.append((seq, seq))
-                result.codes.append((codes, codes))
+            # a complementary key is PAF_A + PAF_B = -2 on shifts 1..ℓ//2, the
+            # definition of a pair; a self-complementary entry is the last
+            # member of its own bucket and pairs with itself there
+            for other in pool.get(cv.tobytes(), ()):
+                result.pairs.append((pool_seqs[other], seq))
+                result.codes.append((pool_codes[other], codes))
             if cfg.max_solutions and len(result.pairs) >= cfg.max_solutions:
                 stop, rest = True, batch[i + 1 :]
                 break

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from legendre_pairs import cli
 from legendre_pairs.cli import main
+from legendre_pairs.decompress import SearchResult
 from legendre_pairs.refdata import ell87
 from legendre_pairs.seqcore import format_sequence, parse_sequence
 
@@ -120,6 +122,8 @@ L15_ROWS = {"a": [-3, 1, 1, 1, 1], "b": [-3, 1, 1, 1, 1]}
 CODES = ["decode-pair", "--ell", "85", "--gen", "69", "--codes", "{in}"]
 HINTS = ["search-orbit", "--ell", "85", "--gen", "69", "--ones", "12", "--twos", "15",
          "--hints", "{in}"]
+HINTS_NO_TWOS = ["search-orbit", "--ell", "15", "--gen", "1", "--ones", "7", "--twos", "0",
+                 "--hints", "{in}"]
 DECOMPRESS = ["decompress", "--candidates", "{in}", "--out", "{out}", "--budget", "1000"]
 
 
@@ -139,6 +143,7 @@ class TestBadInput:
         pytest.param(HINTS, [[12, "x"]], ("{in}",), id="hints-rank-string"),
         pytest.param(HINTS, [[5000, 1]], ("rank 5000",), id="hints-rank-too-big"),
         pytest.param(HINTS, [[-1, 1]], ("rank -1",), id="hints-rank-negative"),
+        pytest.param(HINTS_NO_TWOS, [[3, 5]], ("rank 5",), id="hints-twos-rank-no-2-orbits"),
         pytest.param(["candidates", "--profile", "{in}", "--out", "{out}"], [1, 2], ("{in}",),
                      id="profile-list"),
         pytest.param(["verify", "{in}", "{seq}"], None, ("{in}",), id="verify-directory"),
@@ -242,6 +247,21 @@ class TestPipelineAndFiles:
         assert rc == 0
         sidecar = json.loads(open(str(out) + ".json").read())
         assert sidecar["pairs"] and sidecar["pairs"][0]["x"] in (36, -36)
+
+    def test_failing_output_pair_exits_one(self, tmp_path, capsys, monkeypatch):
+        """Output pairs are verified once, when written: a non-pair from an
+        engine exits 1 before the output file is written."""
+        a = (1, 1, 1, 1, -1, -1, -1)
+        fake = SearchResult(pairs=[(a, a)], codes=[None], nodes_visited=1, exhausted=True)
+        monkeypatch.setattr(cli, "orbit_search", lambda ell, cfg: fake)
+        out = tmp_path / "orb.txt"
+        rc = main([
+            "search-orbit", "--ell", "7", "--gen", "1", "--ones", "3", "--twos", "0",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "output pair 0 is not a Legendre pair (failing shift 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_search_orbit_bad_counts(self, capsys):
         rc = main([

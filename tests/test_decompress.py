@@ -20,6 +20,7 @@ from legendre_pairs.decompress import (
     orbit_search,
     uncompress_search,
 )
+from legendre_pairs.grouptools import GroupError
 from legendre_pairs.refdata import ell85
 from legendre_pairs.seqcore import compress, paf, verify_legendre_pair
 
@@ -130,6 +131,14 @@ def pairs_sha256(pairs):
     return h.hexdigest()
 
 
+def assert_pairs_of(cand, pairs):
+    """The engine emits leaves unchecked: each must be a pair compressing to
+    the candidate."""
+    for A, B in pairs:
+        assert verify_legendre_pair(A, B).is_legendre_pair
+        assert compress(A, cand.m) == cand.a and compress(B, cand.m) == cand.b
+
+
 class TestPinnedResults:
     """Exact DFS results (order of pairs, nodes, exhaustion) for fixed inputs.
 
@@ -154,6 +163,7 @@ class TestPinnedResults:
         assert res.nodes_visited == nodes
         assert len(res.pairs) == count
         assert pairs_sha256(res.pairs) == digest
+        assert_pairs_of(cand, res.pairs)
 
     @pytest.mark.parametrize(
         "ell,a,b,budget,nodes,exhausted",
@@ -182,6 +192,7 @@ class TestPinnedResults:
             assert not res.exhausted
             assert res.nodes_visited == 20_000
             assert pairs_sha256(res.pairs) == digest
+            assert_pairs_of(cand, res.pairs)
 
     @pytest.mark.parametrize(
         "ci,seed,nodes,digest",
@@ -198,6 +209,7 @@ class TestPinnedResults:
         assert res.nodes_visited == nodes
         assert len(res.pairs) == 1
         assert pairs_sha256(res.pairs) == digest
+        assert_pairs_of(cand, res.pairs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -360,6 +372,12 @@ class TestOrbitSearch:
         }
         assert {frozenset(p) for p in with_filter.pairs} == balanced
 
+    def test_twos_rank_checked_without_2_orbits(self):
+        """With no 2-orbits the only twos rank is 0: (3, 5) is refused, not
+        read as a second copy of (3, 0)."""
+        with pytest.raises(GroupError, match="rank 5 out of range"):
+            orbit_search(15, block_cfg(15, exhaustive=True, hint_codes=((3, 0), (3, 5))))
+
     def test_sampled_determinism(self):
         cfg1 = self.l85_cfg(budget_nodes=30)
         cfg2 = self.l85_cfg(budget_nodes=30)
@@ -449,6 +467,8 @@ class TestOrbitPinned:
         assert res.exhausted == exhausted
         assert len(res.pairs) == count
         assert orbit_sha256(res) == digest
+        # matches are emitted unchecked
+        assert all(verify_legendre_pair(A, B).is_legendre_pair for A, B in res.pairs)
 
     @pytest.mark.parametrize("chunk", [1, 7, decompress.CHUNK])
     @pytest.mark.parametrize("name", [
