@@ -413,6 +413,7 @@ def block_cfg(ell, **kw):
 
 L21_SCAN = dict(exhaustive=True, p2_prefilter=False, budget_nodes=20_000)
 L15_ALL = dict(exhaustive=True, budget_nodes=10**7)
+L21_SAMPLE = dict(p2_prefilter=False, seed=4, budget_nodes=20_000)
 DUP_HINTS = ((3000, 0), (7, 0), (3000, 0), (0, 0), (7, 0))
 ORBIT_CASES = {
     "l85-hints-sample": lambda: (85, SearchConfig(
@@ -432,6 +433,12 @@ ORBIT_CASES = {
         15, exhaustive=True, p2_prefilter=False, budget_nodes=600, hint_codes=DUP_HINTS)),
     "l15-sample-exhausted": lambda: (15, block_cfg(
         15, p2_prefilter=False, seed=3, budget_nodes=10**7)),
+    # sampling reaches every hint again before it runs out
+    "l15-hints-sample-exhausted": lambda: (15, block_cfg(
+        15, p2_prefilter=False, seed=3, budget_nodes=10**7, hint_codes=DUP_HINTS)),
+    # 1,145 repeat draws land in a later 256-draw chunk than their first
+    "l21-sample": lambda: (21, block_cfg(21, **L21_SAMPLE)),
+    "l21-hints-sample": lambda: (21, block_cfg(21, **L21_SAMPLE, hint_codes=DUP_HINTS)),
     # C(70, 35) > 2**63: ranks no longer fit a machine integer
     "l71-sample": lambda: (71, block_cfg(71, seed=2, budget_nodes=1_500)),
 }
@@ -449,6 +456,9 @@ ORBIT_PINS = {  # case: (nodes, exhausted, pairs, orbit_sha256)
     "l15-hints-dup": (3432, True, 5512, "9bc80925897ce579904b0030faa58f0a15f88bc27b33a6a8f707079751c22d96"),
     "l15-hints-dup-budget": (600, False, 189, "07b7b502fbc6d74970f828436cfeb5e228066c4d608cb9c55bc8d29bb48ae5ea"),
     "l15-sample-exhausted": (3432, True, 5512, "ba5c0e547f9b30e8163fc885b39dd49ea0ed63e6f044475c5a55b0c07db406a4"),
+    "l15-hints-sample-exhausted": (3432, True, 5512, "616f86ce972eaf1232605fb1118bf972f10f73d547509a328ca9eb8e5ec44791"),
+    "l21-sample": (20000, False, 753, "e6bed09297db7e843ac6716141306c407cf74fc40f7d2958141709f7a7060fb0"),
+    "l21-hints-sample": (20000, False, 753, "e6bed09297db7e843ac6716141306c407cf74fc40f7d2958141709f7a7060fb0"),
     "l71-sample": (1500, False, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
