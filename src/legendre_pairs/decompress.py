@@ -213,7 +213,10 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
 
 
 def _selection_hash(seed: int, index: int, space1: int, space2: int) -> Tuple[int, int]:
-    """Counter-based pseudo-random selection pair: splittable and reproducible."""
+    """Counter-based pseudo-random selection pair: splittable and reproducible.
+
+    The reference for _selections' sampling, which draws the same pairs a
+    chunk of indices at a time."""
     digest = hashlib.blake2b(
         f"{seed}:{index}".encode(), digest_size=16
     ).digest()
@@ -227,38 +230,56 @@ def _selection_hash(seed: int, index: int, space1: int, space2: int) -> Tuple[in
 CHUNK = 256
 
 
-def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[Tuple[int, int]]:
-    """Every (ones_rank, twos_rank) selection at most once, in search order:
-    the hints, then the rank-order scan or the seeded sampling."""
+def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
+    """Every selection at most once, in search order, as non-empty arrays of
+    keys rank2 · space1 + rank1 (0 <= rank1 < space1): the hints, then the
+    rank-order scan or the seeded sampling, CHUNK indices at a time.
+
+    Keys are int64, or Python ints (object dtype) when space1 · space2 does
+    not fit.  Every hint is checked before the first selection.  A sampled
+    key is _selection_hash's pair as one int: for v the hash value,
+    v mod space1·space2 = (v // space1 mod space2) · space1 + v mod space1.
+    """
     k1, k2 = cfg.ones_orbits, cfg.twos_orbits
     space1, space2 = math.comb(n1, k1), math.comb(n2, k2)
-    # a selection is seen as the one int rank2 * space1 + rank1 (0 <= rank1 <
-    # space1), half the memory of the tuple over a long sampling run
-    seen: Set[int] = set()
+    total = space1 * space2
+    dtype = np.int64 if total < 2**63 else object
     for rank1, rank2 in cfg.hint_codes:
         # raise GroupError on an out-of-range hint; with no 2-orbits the only
         # twos rank is 0
         LexRankCode(n1, k1, rank1)
         LexRankCode(n2, k2, rank2)
-        key = rank2 * space1 + rank1
-        if key not in seen:
-            seen.add(key)
-            yield rank1, rank2
+    hints = np.array(
+        list(dict.fromkeys(rank2 * space1 + rank1 for rank1, rank2 in cfg.hint_codes)), dtype=dtype
+    )
+    if hints.size:
+        yield hints
     if cfg.exhaustive:
-        # rank order never repeats, so only the hints need skipping
-        for rank1 in range(space1):
-            for rank2 in range(space2):
-                if rank2 * space1 + rank1 not in seen:
-                    yield rank1, rank2
+        # index i is (rank1, rank2) = divmod(i, space2); rank order never
+        # repeats, so only the hints need dropping
+        for lo in range(0, total, CHUNK):
+            idx = np.arange(lo, min(lo + CHUNK, total), dtype=dtype)
+            keys = idx % space2 * space1 + idx // space2
+            if hints.size:
+                keys = keys[np.isin(keys, hints, invert=True)]
+            if keys.size:
+                yield keys
         return
+    # a selection is seen as its key, one int; the first draw of a key wins
+    seen: Set[int] = set(hints.tolist())
+    prefix = hashlib.blake2b(f"{cfg.seed}:".encode(), digest_size=16)
     index = 0
-    while len(seen) < space1 * space2:
-        rank1, rank2 = _selection_hash(cfg.seed, index, space1, space2)
-        index += 1
-        key = rank2 * space1 + rank1
-        if key not in seen:
-            seen.add(key)
-            yield rank1, rank2
+    while len(seen) < total:
+        keys = []
+        for i in range(index, index + CHUNK):
+            h = prefix.copy()
+            h.update(b"%d" % i)
+            keys.append(int.from_bytes(h.digest(), "big") % total)
+        index += CHUNK
+        new = [key for key in dict.fromkeys(keys) if key not in seen]
+        if new:
+            seen.update(new)
+            yield np.array(new, dtype=dtype)
 
 
 def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
@@ -270,10 +291,12 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     emitted unchecked.  Selections arrive from warm-start hints, then either
     an exhaustive scan or seeded counter-based sampling without replacement.
 
-    Selections are decoded and filtered CHUNK at a time: LexRank masks pick
-    orbit columns into a (chunk × ℓ) ±1 matrix, the square-sum and the PSD
-    ceiling run on the whole stack, and exact integer PAF rows are computed
-    for the survivors only.  Survivors enter the pool in selection order, so
+    Selections arrive as key arrays from _selections and are decoded and
+    filtered CHUNK at a time: the keys split into ranks (rank1 = key mod
+    space1, rank2 = key // space1), LexRank masks pick orbit columns into a
+    (chunk × ℓ) ±1 matrix, the square-sum and the PSD ceiling run on the
+    whole stack, and exact integer PAF rows and rank tuples are formed for
+    the survivors only.  Survivors enter the pool in selection order, so
     budgets and max_solutions stop at the same selection as one at a time.
     """
     cfg.validate()
@@ -305,16 +328,21 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     pool: Dict[bytes, List[int]] = {}  # PAF at shifts 1..ℓ//2 -> pool indices
     pool_seqs: List[Tuple[int, ...]] = []
     pool_codes: List[dict] = []
+    space1 = math.comb(n1, k1)
     stream = _selections(cfg, n1, n2)
-    nodes, stop, rest = 0, False, []
+    keys = np.zeros(0, dtype=np.int64)  # drawn from the stream, not yet searched
+    nodes, stop, rest = 0, False, 0
     while not stop and nodes < cfg.budget_nodes:
-        batch = list(itertools.islice(stream, min(CHUNK, cfg.budget_nodes - nodes)))
-        if not batch:
-            break
-        ranks1, ranks2 = zip(*batch)
+        if not keys.size:
+            keys = next(stream, keys)
+            if not keys.size:
+                break
+        take = min(CHUNK, cfg.budget_nodes - nodes)
+        batch, keys = keys[:take], keys[take:]
+        ranks1, ranks2 = batch % space1, batch // space1
         masks = (lex_unrank_masks(n1, k1, ranks1), lex_unrank_masks(n2, k2, ranks2),
                  np.zeros((len(batch), 1), dtype=bool))
-        rows = np.where(np.concatenate(masks, 1)[:, column], np.int8(-1), np.int8(1))
+        rows = 1 - 2 * np.concatenate(masks, 1)[:, column].view(np.int8)
         live = np.arange(len(batch))
         if m5 is not None and cfg.p2_prefilter:
             compressed = rows.reshape(len(batch), m5, 5).sum(1)
@@ -323,9 +351,9 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
             live = live[psd_vector(rows[live])[:, 1:].max(1) <= psd_limit]
         rows = rows[live]
         pafs = paf_rows(rows.astype(np.int32), ell // 2 + 1)[:, 1:]  # |PAF| <= ℓ
+        survivors = zip(live.tolist(), ranks1[live].tolist(), ranks2[live].tolist())
 
-        for i, row, pv, cv in zip(live.tolist(), rows.tolist(), pafs, -2 - pafs):
-            rank1, rank2 = batch[i]
+        for (i, rank1, rank2), row, pv, cv in zip(survivors, rows.tolist(), pafs, -2 - pafs):
             seq = tuple(row)
             codes = {1: (n1, k1, rank1)}
             if n2:
@@ -340,10 +368,10 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
                 result.pairs.append((pool_seqs[other], seq))
                 result.codes.append((pool_codes[other], codes))
             if cfg.max_solutions and len(result.pairs) >= cfg.max_solutions:
-                stop, rest = True, batch[i + 1 :]
+                stop, rest = True, len(batch) - i - 1
                 break
-        nodes += len(batch) - len(rest)
+        nodes += len(batch) - rest
 
     result.nodes_visited = nodes
-    result.exhausted = not rest and next(stream, None) is None
+    result.exhausted = not rest and not keys.size and next(stream, None) is None
     return result

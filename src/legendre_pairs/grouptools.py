@@ -90,45 +90,67 @@ def lex_unrank(n: int, k: int, rank: int) -> Tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _lex_blocks(n: int, k: int) -> np.ndarray:
-    """block[v-1, j] = C(n - v, j - 1): the subsets that take v when j
-    elements are still to be placed (0 when none are).  A rank is below
-    C(n, k), so capping a block there changes no decision of the decode and
-    keeps int64 exact whenever C(n, k) fits."""
+def _lex_groups(n: int, k: int) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Decode tables of lex_unrank_masks, one per group of 8 elements.
+
+    In lex order the k-subsets that agree on a group are contiguous, their
+    8-bit patterns (bit 7 = the group's first element) in descending order,
+    and a pattern with c of the `left` elements still to place covers
+    C(n_after, left - c) subsets.  A decode state is q = rank within the
+    rest + left·(total + 1), total = C(n, k), so one sorted array per group
+    holds every `left` as its own segment: `end[i]` is the state just past
+    pattern i's range, `step[i]` what taking it subtracts from q to give the
+    next group's state, and `byte[i]` the pattern.  Every rank is below total,
+    so capping counts there changes no decision, and the tables are int64
+    whenever a segment's sum of capped counts fits.
+    """
     total = math.comb(n, k)
-    block = np.array(
-        [[0] + [min(math.comb(n - v, j - 1), total) for j in range(1, k + 1)]
-         for v in range(1, n + 1)],
-        dtype=np.int64 if total < 2**63 else object,
-    ).reshape(n, k + 1)
-    block.flags.writeable = False
-    return block
+    width = total + 1
+    dtype = np.int64 if 256 * (k + 1) * width < 2**63 else object
+    byte = np.arange(255, -1, -1, dtype=np.uint8)
+    bits = np.unpackbits(byte[:, None], axis=1)
+    rest = np.arange(k + 1)[:, None] - bits.sum(1, dtype=np.int64)  # left after each pattern
+    base = np.arange(k + 1).astype(dtype)[:, None] * width
+    groups = []
+    for g in range(0, n, 8):
+        # the segments of the `left` values a k-subset can reach here
+        live = slice(max(k - g, 0), min(k, n - g) + 1)
+        after = rest[live]
+        ways = np.array([min(math.comb(max(n - g - 8, 0), j), total) for j in range(k + 1)], dtype=dtype)
+        count = np.where((after >= 0) & ~bits[:, n - g :].any(1), ways[after.clip(0)], 0)
+        end = np.cumsum(count, 1)
+        step = np.minimum(end - count, total) + base[live] - after.clip(0).astype(dtype) * width
+        tables = ((np.minimum(end, total) + base[live]).reshape(-1), step.reshape(-1),
+                  np.tile(byte, len(after)))
+        for t in tables:
+            t.flags.writeable = False
+        groups.append(tables)
+    return tuple(groups)
 
 
 def lex_unrank_masks(n: int, k: int, ranks: Sequence[int]) -> np.ndarray:
     """Batched lex_unrank: row r is the membership mask of the ranks[r]-th
     k-subset of {1..n}, with column v-1 set when element v is in it.
 
-    Exact integer work: ranks are int64 when C(n, k) < 2**63 and Python ints
-    (object dtype) otherwise.
+    Decodes 8 elements per numpy pass, one searchsorted per group
+    (_lex_groups).  Exact integer work: ranks are int64 when the decode
+    state fits and Python ints (object dtype) otherwise.
     """
     if k < 0 or k > n:
         raise GroupError(f"subset size {k} out of range for universe {n}")
     total = math.comb(n, k)
-    block = _lex_blocks(n, k)
-    r = np.array(ranks, dtype=block.dtype).reshape(-1)
+    groups = _lex_groups(n, k)
+    r = np.array(ranks, dtype=groups[0][0].dtype if groups else np.int64).reshape(-1)
     bad = (r < 0) | (r >= total)
     if bad.any():
         raise GroupError(f"rank {r[bad.argmax()]} out of range [0, {total})")
-    left = np.full(len(r), k)
-    masks = np.empty((n, len(r)), dtype=bool)
-    for v, row in enumerate(block):  # as lex_unrank: take v, or skip its block
-        size = row[left]
-        take = np.less(r, size, out=masks[v])
-        size[take] = 0
-        r -= size
-        left -= take
-    return masks.T
+    q = r + k * (total + 1)
+    packed = np.empty((len(r), len(groups)), dtype=np.uint8)
+    for g, (end, step, byte) in enumerate(groups):
+        at = np.searchsorted(end, q, side="right")
+        packed[:, g] = byte[at]
+        q = q - step[at]
+    return np.unpackbits(packed, axis=1, count=n).view(bool)
 
 
 def lex_rank(n: int, subset: Iterable[int]) -> int:

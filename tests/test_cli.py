@@ -144,6 +144,8 @@ class TestBadInput:
         pytest.param(HINTS, [[5000, 1]], ("rank 5000",), id="hints-rank-too-big"),
         pytest.param(HINTS, [[-1, 1]], ("rank -1",), id="hints-rank-negative"),
         pytest.param(HINTS_NO_TWOS, [[3, 5]], ("rank 5",), id="hints-twos-rank-no-2-orbits"),
+        pytest.param(HINTS_NO_TWOS + ["--budget", "1"], [[3, 0], [7, 0], [5000, 0]],
+                     ("rank 5000",), id="hints-bad-rank-past-budget"),
         pytest.param(["candidates", "--profile", "{in}", "--out", "{out}"], [1, 2], ("{in}",),
                      id="profile-list"),
         pytest.param(["verify", "{in}", "{seq}"], None, ("{in}",), id="verify-directory"),

@@ -5,6 +5,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -20,7 +21,7 @@ from legendre_pairs.decompress import (
     orbit_search,
     uncompress_search,
 )
-from legendre_pairs.grouptools import GroupError
+from legendre_pairs.grouptools import GroupError, orbits
 from legendre_pairs.refdata import ell85
 from legendre_pairs.seqcore import compress, paf, verify_legendre_pair
 
@@ -378,6 +379,45 @@ class TestOrbitSearch:
         with pytest.raises(GroupError, match="rank 5 out of range"):
             orbit_search(15, block_cfg(15, exhaustive=True, hint_codes=((3, 0), (3, 5))))
 
+    def test_every_hint_checked_before_the_first_selection(self):
+        """A bad hint past the budget is refused, not left unread."""
+        cfg = block_cfg(15, budget_nodes=1, hint_codes=((3, 0), (7, 0), (5000, 0)))
+        with pytest.raises(GroupError, match="rank 5000 out of range"):
+            orbit_search(15, cfg)
+
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**40])
+    @pytest.mark.parametrize("ell, gens, k1, k2, count", [
+        (85, (69,), 12, 15, 2_000),
+        (55, (34,), 3, 12, 2_000),
+        (71, (1,), 35, 0, 600),  # C(70, 35) > 2**63: object keys
+        (15, (1,), 7, 0, None),  # sampled to exhaustion
+    ])
+    def test_sampled_keys_match_reference(self, seed, ell, gens, k1, k2, count):
+        """The chunked sampler emits _selection_hash's selections, per index,
+        as keys rank2 · space1 + rank1, each the first time it is drawn."""
+        table = orbits(ell, gens)
+        n1, n2 = table.class_count(1), table.class_count(2)
+        space1, space2 = math.comb(n1, k1), math.comb(n2, k2)
+        cfg = SearchConfig(strategy="orbit_restricted", subgroup_generators=gens,
+                           ones_orbits=k1, twos_orbits=k2, seed=seed)
+        got = []
+        for chunk in decompress._selections(cfg, n1, n2):
+            assert chunk.dtype == (object if ell == 71 else np.int64)
+            got += chunk.tolist()
+            if count and len(got) >= count:
+                break
+        got = got[:count]
+        want, seen, index = [], set(), 0
+        while len(want) < (count or space1 * space2):
+            rank1, rank2 = decompress._selection_hash(seed, index, space1, space2)
+            index += 1
+            if rank2 * space1 + rank1 not in seen:
+                seen.add(rank2 * space1 + rank1)
+                want.append(rank2 * space1 + rank1)
+        assert got == want
+        if count is None:
+            assert sorted(got) == list(range(space1 * space2))
+
     def test_sampled_determinism(self):
         cfg1 = self.l85_cfg(budget_nodes=30)
         cfg2 = self.l85_cfg(budget_nodes=30)
@@ -483,9 +523,11 @@ class TestOrbitPinned:
     @pytest.mark.parametrize("chunk", [1, 7, decompress.CHUNK])
     @pytest.mark.parametrize("name", [
         "l21-scan-max1", "l21-scan-budget1300", "l15-hints-dup-budget", "l15-sample-exhausted",
+        "l21-sample", "l71-sample",
     ])
     def test_chunk_size_invariant(self, monkeypatch, chunk, name):
         """Any chunk size gives the pinned results: a max_solutions or budget
-        stop inside a chunk, hints with repeats, sampling to exhaustion."""
+        stop inside a chunk, hints with repeats, sampling to exhaustion, repeat
+        draws across chunks, object keys."""
         monkeypatch.setattr(decompress, "CHUNK", chunk)
         self.test_pinned(name)

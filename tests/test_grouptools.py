@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from legendre_pairs.grouptools import (
@@ -118,6 +119,16 @@ class TestLexRank:
         for n in range(11):
             for k in range(n + 1):
                 self.assert_masks_decode(n, k, list(range(math.comb(n, k))))
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17])
+    def test_masks_every_rank_at_group_boundaries(self, n):
+        """Every rank of every k where the 8-element decode groups end, or
+        leave one element over; itertools.combinations is in lex order."""
+        for k in range(n + 1):
+            want = np.zeros((math.comb(n, k), n), dtype=bool)
+            for rank, subset in enumerate(itertools.combinations(range(n), k)):
+                want[rank, list(subset)] = True
+            assert (lex_unrank_masks(n, k, range(len(want))) == want).all()
 
     @pytest.mark.parametrize("n,k", [(16, 12), (34, 15), (70, 35)])
     def test_masks_sampled(self, n, k):
