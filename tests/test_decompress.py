@@ -22,7 +22,7 @@ from legendre_pairs.decompress import (
     uncompress_search,
 )
 from legendre_pairs.grouptools import GroupError, orbits
-from legendre_pairs.refdata import ell85
+from legendre_pairs.refdata import ell85, x_table
 from legendre_pairs.seqcore import compress, paf, verify_legendre_pair
 
 
@@ -210,6 +210,21 @@ class TestPinnedResults:
         assert res.nodes_visited == nodes
         assert len(res.pairs) == 1
         assert pairs_sha256(res.pairs) == digest
+        assert_pairs_of(cand, res.pairs)
+
+    def test_l35_acceptance_search(self):
+        """The ℓ=35 acceptance search: the first candidate whose x is in the
+        table, seed 2, stopped at its first pair."""
+        table_xs = {row["ell"]: set(row["x"]) for row in x_table()}[35]
+        cand = next(c for c in cached_candidates(7) if c.x in table_xs)
+        cfg = SearchConfig(seed=2, budget_nodes=2_600_000, max_solutions=1)
+        res = uncompress_search(35, cand, cfg)
+        assert not res.exhausted
+        assert res.nodes_visited == 2_357_303
+        assert len(res.pairs) == 1
+        assert pairs_sha256(res.pairs) == (
+            "487b17ba8e7819a16847fb693ab5a267d2e1543f0b5af1424eb0db0a651e8c1f"
+        )
         assert_pairs_of(cand, res.pairs)
 
 
