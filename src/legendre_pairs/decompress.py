@@ -7,6 +7,7 @@ shards never share mutable state, so results merge by concatenation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -76,6 +77,40 @@ def _negative_counts(row: Sequence[int], m: int) -> List[int]:
     return counts
 
 
+# The bottom of the DFS tree is scored a level at a time: the walk hands a
+# subtree to one batched call once the option widths left multiply to at most
+# TAIL_OPTIONS, if that spans at least 3 depths (a 2-depth tail of 126 × 84
+# options at ℓ=45 was slower than the walk).  Results do not depend on it.
+TAIL_OPTIONS = 65_536
+# int32 values in one (states × options × shifts) block of a batched level;
+# larger blocks raised peak memory without speeding the search.
+TAIL_BLOCK = 2**14
+
+
+@functools.lru_cache(maxsize=64)
+def _options(m: int, k: int, laps: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ±1 vector of length m with k entries -1, in lex order of the -1
+    positions, and its cyclic PAF at offsets 1..laps.  Read-only: every
+    search shares them."""
+    combos = list(itertools.combinations(range(m), k))
+    v = np.ones((len(combos), m), dtype=np.int32)
+    np.put_along_axis(v, np.array(combos, dtype=np.intp).reshape(len(combos), k), -1, axis=1)
+    intra = (v[:, :, None] * v[:, (np.arange(m)[:, None] + np.arange(1, laps + 1)) % m]).sum(1)
+    v.flags.writeable = intra.flags.writeable = False
+    return v, intra
+
+
+def _tail_start(widths: Sequence[int]) -> int:
+    """First depth of the batched tail for these option widths per depth:
+    the shallowest whose remaining widths multiply to at most TAIL_OPTIONS,
+    or len(widths), no tail, when that spans fewer than 3 depths."""
+    start, size = len(widths), 1
+    while start and size * widths[start - 1] <= TAIL_OPTIONS:
+        start -= 1
+        size *= widths[start]
+    return start if len(widths) - start >= 3 else len(widths)
+
+
 def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> SearchResult:
     """Depth-first search for ±1 pairs whose m-compressions equal (cand.a, cand.b).
 
@@ -87,11 +122,19 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     product left, so there the joint bound is PAF_A(s) + PAF_B(s) = -2 on
     shifts 1..ℓ//2: every leaf reached is a pair and is emitted as it is.
 
-    Every option of a depth is scored at once when the search enters it: the
-    PAF gain of option v in class j is ``v @ C_j`` plus a term of v alone at
-    shifts ≡ 0 (mod d), with ``C_j[t, s] = row[i_t + s] + row[i_t - s]``; the
-    unknown products depend on the depth only.  Each option still counts as
-    one node, in the seeded order, so budgets cut the same tree prefix.
+    Every option of a depth is scored at once against a state: the PAF gain
+    of option v in class j is ``v @ C_j`` plus a term of v alone at shifts
+    ≡ 0 (mod d), with ``C_j[t, s] = row[i_t + s] + row[i_t - s]``; the
+    unknown products depend on the depth only.  The walk does this for one
+    state per depth down to the tail's first depth (_tail_start); below it,
+    one call scores the whole subtree a level at a time, every surviving
+    state of a level against every option of the next, and keeps survivors
+    in (state, option) order, which is preorder.  Each option counts as one
+    node, in the seeded order, so budgets cut the same tree prefix: a subtree
+    counts its widths times its live states, and when the budget or
+    max_solutions cuts inside it, a leaf's preorder rank is its parent's
+    rank, plus its option index and 1, plus the nodes below its earlier live
+    siblings.
     """
     cfg.validate()
     if cfg.strategy != "backtrack":
@@ -116,7 +159,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     # the second term from the class's own entry, still 0 while it is scored
     minus = np.where(minus == plus, classes[:, :, None], minus)
 
-    own = shifts[shifts % d == 0]  # shifts that pair a class with itself
+    own = slice(d - 1, nshifts, d)  # shifts d, 2d, ... pair a class with itself
     # Every product is ±1, so a PAF is ≡ ℓ (mod 2) and the joint bound's gap
     # minus slack is always even.  Per shift class c = ±s mod d, the
     # compression identity fixes each side's PAF summed over the class's
@@ -134,50 +177,116 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     rng = random.Random(cfg.seed)
     values, intra, slack = [], [], []
     seen = np.zeros((2, ell), dtype=bool)
-    unknown = np.full((2, nshifts), ell, dtype=np.int64)
+    unknown = np.full((2, nshifts), ell, dtype=np.int32)
     for side, j in steps:
-        opts = list(itertools.combinations(classes[j].tolist(), negs[side][j]))
-        rng.shuffle(opts)
-        neg = np.array(opts, dtype=np.int64).reshape(len(opts), -1) // d
-        v = np.ones((len(opts), m), dtype=np.int64)
-        np.put_along_axis(v, neg, -1, axis=1)
-        values.append(v)
         # products inside the class: the option's own cyclic PAF at s/d
-        intra.append((v[:, :, None] * v[:, (np.arange(m)[:, None] + own // d) % m]).sum(1))
+        lex, lex_intra = _options(m, negs[side][j], nshifts // d)
+        # shuffle's swaps depend only on the length: the seeded option order
+        perm = list(range(len(lex)))
+        rng.shuffle(perm)
+        values.append(lex[perm])
+        intra.append(lex_intra[perm])
         # products fixed by this step: partners already assigned at i - s
         # (outside the class), and at i + s once the class itself is assigned
         done = seen[side, minus[j]].sum(0)
         seen[side, classes[j]] = True
         unknown[side] -= done + seen[side, plus[j]].sum(0)
         slack.append(unknown.sum(0))  # the bound's limit per shift after this step
+    if not parity_ok:  # no option of any depth passes: prune all of depth 0
+        slack[0] = np.full(nshifts, -1)
 
     result = SearchResult()
     psd_limit = 2 * ell + 2 + PSD_CEILING_TOL
     a_last_step = len(steps) - 2  # the A side is complete after it
-    rows = np.zeros((2, ell), dtype=np.int64)
+    tail = _tail_start([len(v) for v in values])
 
-    def score(depth: int, part: Tuple[np.ndarray, np.ndarray]) -> list:
-        """Score every option of a depth against the current rows; return the
-        walk frame [depth, surviving option indices, their partial PAFs, the
-        partial PAFs at entry, survivors walked, options walked]."""
+    def level(depth: int, states: np.ndarray, part: np.ndarray):
+        """Score every option of a depth against every state: ``states`` are
+        (F, 2, ℓ) rows, ``part`` their (F, 2, ℓ//2) partial PAFs.  Return the
+        survivors in (state, option) order as state indices, option indices
+        and their scored side's partial PAFs."""
         side, j = steps[depth]
         v = values[depth]
-        gain = v @ (rows[side, plus[j]] + rows[side, minus[j]])
-        gain[:, own - 1] += intra[depth]
-        new = part[side] + gain
-        ok = ~(np.abs(-2 - new - part[1 - side]) > slack[depth]).any(1)
-        if cfg.psd_prune and depth == a_last_step and ok.any():
-            idx = np.flatnonzero(ok)
-            full = np.repeat(rows[:1], len(idx), 0)
-            full[:, classes[j]] = v[idx]
-            ok[idx[psd_vector(full)[:, 1:].max(1) > psd_limit]] = False
-        live = np.flatnonzero(ok)
-        return [depth, live.tolist(), new[live], part, 0, 0]
+        chunk = max(1, TAIL_BLOCK // (len(v) * nshifts))
+        found = []
+        for lo in range(0, len(states), chunk):
+            rows, pt = states[lo:lo + chunk], part[lo:lo + chunk]
+            gain = v @ (rows[:, side, plus[j]] + rows[:, side, minus[j]])
+            gain[:, :, own] += intra[depth]
+            new = pt[:, side, None] + gain
+            ok = ~(np.abs(-2 - new - pt[:, None, 1 - side]) > slack[depth]).any(2)
+            s, o = np.nonzero(ok)
+            if cfg.psd_prune and depth == a_last_step and len(s):
+                full = rows[s, 0]
+                full[:, classes[j]] = v[o]
+                keep = psd_vector(full)[:, 1:].max(1) <= psd_limit
+                s, o = s[keep], o[keep]
+            found.append((s + lo, o, new[s, o]))
+        return (np.concatenate(x) for x in zip(*found))
 
+    def subtree(rows: np.ndarray, part: np.ndarray):
+        """Score the subtree below one state from the tail's first depth on.
+        Return its node count, its leaves' rows in preorder and each level's
+        survivors as (state, option) indices.  From depth len(steps) the
+        subtree is the state alone, a leaf of rank 0."""
+        states, part, size, levels = rows, part[None], 0, []
+        for depth in range(tail, len(steps)):
+            if not len(states):
+                break
+            side, j = steps[depth]
+            size += len(states) * len(values[depth])
+            s, o, new = level(depth, states, part)
+            levels.append((s, o))
+            states = states[s]
+            states[:, side, classes[j]] = values[depth][o]
+            part = part[s]
+            part[:, side] = new
+        return size, states, levels
+
+    def leaf_ranks(levels) -> np.ndarray:
+        """Preorder rank of each leaf of a subtree, its root ranked 0."""
+        below = [np.zeros(len(levels[-1][0]) if levels else 1, dtype=np.int64)]
+        for i in range(len(levels) - 1, 0, -1):  # nodes below each survivor
+            b = np.full(len(levels[i - 1][0]), len(values[tail + i]), dtype=np.int64)
+            np.add.at(b, levels[i][0], below[0])
+            below.insert(0, b)
+        rank = np.zeros(1, dtype=np.int64)
+        for (s, o), b in zip(levels, below):
+            before = np.cumsum(b) - b  # nodes below the level's earlier survivors
+            rank = rank[s] + o + 1 + before - before[np.searchsorted(s, s)]
+        return rank
+
+    rows = np.zeros((1, 2, ell), dtype=np.int8)  # the walk's state
     nodes, budget, stop = 0, cfg.budget_nodes, False
-    stack = [score(0, (np.zeros(nshifts, np.int64), np.zeros(nshifts, np.int64)))]
-    if not parity_ok:  # no option of any depth passes: walk depth 0 as pruned
-        stack[0][1] = []
+
+    def enter(depth: int, part: np.ndarray) -> list:
+        """The walk frame [depth, surviving option indices, their partial
+        PAFs, the partial PAFs at entry, survivors walked, options walked]."""
+        _, live, new = level(depth, rows, part[None])
+        return [depth, live.tolist(), new, part, 0, 0]
+
+    def finish(part: np.ndarray) -> Tuple[int, bool]:
+        """Emit the subtree below the walk's state from the tail's first
+        depth on; return the nodes it adds and whether the search stops."""
+        size, leaves, levels = subtree(rows, part)
+        room = budget - nodes
+        need = cfg.max_solutions - len(result.pairs) if cfg.max_solutions else 0
+        cut, stops = size, False
+        if size > room or 0 < need <= len(leaves):
+            rank = leaf_ranks(levels)
+            cut = min(room, int(rank[need - 1])) if 0 < need <= len(leaves) else room
+            leaves, stops = leaves[: np.searchsorted(rank, cut, "right")], True
+        for a, b in leaves.tolist():
+            result.pairs.append((tuple(a), tuple(b)))
+            result.codes.append(None)
+        return cut, stops
+
+    root = np.zeros((2, nshifts), dtype=np.int32)
+    stack = []
+    if tail == 0:
+        nodes, stop = finish(root)
+    else:
+        stack.append(enter(0, root))
     while stack:
         frame = stack[-1]
         depth, live, new, part, pos, taken = frame
@@ -187,7 +296,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             if nodes > budget:
                 nodes, stop = budget, True
                 break
-            rows[side, classes[j]] = 0
+            rows[0, side, classes[j]] = 0
             stack.pop()
             continue
         k = live[pos]
@@ -197,15 +306,15 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             break
         nodes += 1
         frame[4:] = pos + 1, k + 1
-        rows[side, classes[j]] = values[depth][k]
-        child = (new[pos], part[1]) if side == 0 else (part[0], new[pos])
-        if depth + 1 < len(steps):
-            stack.append(score(depth + 1, child))
+        rows[0, side, classes[j]] = values[depth][k]
+        child = part.copy()
+        child[side] = new[pos]
+        if depth + 1 < tail:
+            stack.append(enter(depth + 1, child))
             continue
-        result.pairs.append((tuple(rows[0].tolist()), tuple(rows[1].tolist())))
-        result.codes.append(None)
-        if cfg.max_solutions and len(result.pairs) >= cfg.max_solutions:
-            stop = True
+        added, stop = finish(child)
+        nodes += added
+        if stop:
             break
     result.nodes_visited = nodes
     result.exhausted = not stop

@@ -274,6 +274,88 @@ class TestDeterminism:
             gc.enable()
 
 
+
+def walk_search(ell, cand, cfg):
+    """uncompress_search with no batched tail: one state per depth down to
+    the leaves, each leaf counted as it is walked."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompress, "TAIL_OPTIONS", 0)
+        return uncompress_search(ell, cand, cfg)
+
+
+class TestBatchedTail:
+    """The level-batched tail gives the walk's pairs, node counts and
+    exhaustion, wherever the budget or max_solutions cuts the tree."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        target=st.sampled_from([(15, 0), (15, 1), (25, 0), (25, 1), (25, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(1, 30_000),
+        max_solutions=st.sampled_from([0, 1, 2, 5]),
+        psd_prune=st.booleans(),
+    )
+    def test_matches_walk(self, target, seed, budget, max_solutions, psd_prune):
+        ell, ci = target
+        cand = cached_candidates(ell // 5)[ci]
+        cfg = SearchConfig(seed=seed, budget_nodes=budget, max_solutions=max_solutions,
+                           psd_prune=psd_prune)
+        tail, walk = uncompress_search(ell, cand, cfg), walk_search(ell, cand, cfg)
+        assert tail.pairs == walk.pairs
+        assert tail.nodes_visited == walk.nodes_visited
+        assert tail.exhausted == walk.exhausted
+
+    @pytest.mark.parametrize(
+        "ci,psd_prune,total", [(0, True, 5603), (0, False, 8735), (1, True, 5360), (1, False, 6980)]
+    )
+    def test_l15_budget_at_the_tree_size(self, ci, psd_prune, total):
+        """Every ℓ=15 tree is one tail rooted at depth 0: a budget of its size
+        exhausts it, one node less cuts it at its last node."""
+        cand = cached_candidates(3)[ci]
+        for budget, exhausted in ((total, True), (total - 1, False)):
+            cfg = SearchConfig(seed=0, psd_prune=psd_prune, budget_nodes=budget)
+            res = uncompress_search(15, cand, cfg)
+            assert res.exhausted == exhausted
+            assert res.nodes_visited == budget
+            assert res.pairs == walk_search(15, cand, cfg).pairs
+
+    @pytest.mark.parametrize("ci,psd_prune", [(0, True), (0, False), (1, True), (1, False)])
+    def test_l15_max_solutions_stops_at_the_last_leaf(self, ci, psd_prune):
+        cand = cached_candidates(3)[ci]
+        full = uncompress_search(15, cand, SearchConfig(seed=0, psd_prune=psd_prune))
+        cfg = SearchConfig(seed=0, psd_prune=psd_prune, max_solutions=len(full.pairs))
+        res, walk = uncompress_search(15, cand, cfg), walk_search(15, cand, cfg)
+        assert not res.exhausted
+        assert res.pairs == full.pairs
+        assert res.nodes_visited == walk.nodes_visited <= full.nodes_visited
+
+    @pytest.mark.parametrize(
+        "ell,a,b",
+        [
+            (10, (0, 2, 2, -2, -2), (0, 2, -2, 0, 2)),
+            (10, (0, 0, 0, 0, 0), (2, 0, 0, 0, -2)),
+            (14, (0,) * 7, (0,) * 7),
+        ],
+    )
+    def test_m2_pins_are_one_tail(self, ell, a, b):
+        """The m=2 parity pins (TestPinnedResults) score their whole tree as
+        one tail rooted at depth 0."""
+        widths = [math.comb(2, (2 - v) // 2) for v in a + b]
+        assert decompress._tail_start(widths) == 0
+
+    def test_tail_needs_three_depths(self, monkeypatch):
+        monkeypatch.setattr(decompress, "TAIL_OPTIONS", 100)
+        assert decompress._tail_start([10, 10, 10, 10]) == 4  # 10 × 10 spans 2
+        assert decompress._tail_start([200, 2, 5, 10]) == 1
+        assert decompress._tail_start([1, 1, 1]) == 0
+
+    def test_option_matrices_are_shared_read_only(self):
+        values, intra = decompress._options(5, 2, 2)
+        assert decompress._options(5, 2, 2)[0] is values
+        assert values.shape == (10, 5) and intra.shape == (10, 2)
+        assert not values.flags.writeable and not intra.flags.writeable
+
+
 def oracle_block_pairs(ell):
     """Independent all-blocks census: every a0=+1 sum-1 sequence per side,
     unordered complement matching (self-pairs included if they verify)."""
