@@ -79,11 +79,13 @@ def _negative_counts(row: Sequence[int], m: int) -> List[int]:
 
 # The bottom of the DFS tree is scored a level at a time: the walk hands a
 # subtree to one batched call once the option widths left multiply to at most
-# TAIL_OPTIONS, if that spans at least 3 depths (a 2-depth tail of 126 × 84
-# options at ℓ=45 was slower than the walk).  Results do not depend on it.
+# TAIL_OPTIONS, if that spans at least 3 depths (2-depth tails at ℓ=45, up to
+# 126 × 126 options, were no faster and took more memory).  Results do not
+# depend on it.
 TAIL_OPTIONS = 65_536
 # int32 values in one (states × options × shifts) block of a batched level;
-# larger blocks raised peak memory without speeding the search.
+# the PSD ceiling runs per block too.  One PSD call per level raised the peak
+# memory of ℓ=25 first-pair searches from ≈36.5 to ≈39.6 MB.
 TAIL_BLOCK = 2**14
 
 
@@ -224,25 +226,6 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             found.append((s + lo, o, new[s, o]))
         return (np.concatenate(x) for x in zip(*found))
 
-    def subtree(rows: np.ndarray, part: np.ndarray):
-        """Score the subtree below one state from the tail's first depth on.
-        Return its node count, its leaves' rows in preorder and each level's
-        survivors as (state, option) indices.  From depth len(steps) the
-        subtree is the state alone, a leaf of rank 0."""
-        states, part, size, levels = rows, part[None], 0, []
-        for depth in range(tail, len(steps)):
-            if not len(states):
-                break
-            side, j = steps[depth]
-            size += len(states) * len(values[depth])
-            s, o, new = level(depth, states, part)
-            levels.append((s, o))
-            states = states[s]
-            states[:, side, classes[j]] = values[depth][o]
-            part = part[s]
-            part[:, side] = new
-        return size, states, levels
-
     def leaf_ranks(levels) -> np.ndarray:
         """Preorder rank of each leaf of a subtree, its root ranked 0."""
         below = [np.zeros(len(levels[-1][0]) if levels else 1, dtype=np.int64)]
@@ -265,10 +248,24 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         _, live, new = level(depth, rows, part[None])
         return [depth, live.tolist(), new, part, 0, 0]
 
-    def finish(part: np.ndarray) -> Tuple[int, bool]:
-        """Emit the subtree below the walk's state from the tail's first
-        depth on; return the nodes it adds and whether the search stops."""
-        size, leaves, levels = subtree(rows, part)
+    def emit_tail(part: np.ndarray) -> Tuple[int, bool]:
+        """Score the subtree below the walk's state from the tail's first
+        depth on, a level at a time, and emit its leaves in preorder; return
+        the nodes it adds and whether the search stops.  From depth
+        len(steps) the subtree is the state alone, a leaf of rank 0."""
+        # the frontier of states; its leaves once every depth is scored
+        leaves, part, size, levels = rows, part[None], 0, []
+        for depth in range(tail, len(steps)):
+            if not len(leaves):
+                break
+            side, j = steps[depth]
+            size += len(leaves) * len(values[depth])
+            s, o, new = level(depth, leaves, part)
+            levels.append((s, o))
+            leaves = leaves[s]
+            leaves[:, side, classes[j]] = values[depth][o]
+            part = part[s]
+            part[:, side] = new
         room = budget - nodes
         need = cfg.max_solutions - len(result.pairs) if cfg.max_solutions else 0
         cut, stops = size, False
@@ -284,7 +281,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     root = np.zeros((2, nshifts), dtype=np.int32)
     stack = []
     if tail == 0:
-        nodes, stop = finish(root)
+        nodes, stop = emit_tail(root)
     else:
         stack.append(enter(0, root))
     while stack:
@@ -312,7 +309,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         if depth + 1 < tail:
             stack.append(enter(depth + 1, child))
             continue
-        added, stop = finish(child)
+        added, stop = emit_tail(child)
         nodes += added
         if stop:
             break
