@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class SearchConfig:
     def validate(self) -> None:
         if self.budget_nodes <= 0:
             raise SearchConfigError("budget_nodes must be positive")
+        if self.max_solutions < 0:
+            raise SearchConfigError("max_solutions must be 0 (no limit) or positive")
         if self.strategy not in ("backtrack", "orbit_restricted"):
             raise SearchConfigError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "orbit_restricted" and not self.subgroup_generators:
@@ -83,23 +85,52 @@ def _negative_counts(row: Sequence[int], m: int) -> List[int]:
 # 126 × 126 options, were no faster and took more memory).  Results do not
 # depend on it.
 TAIL_OPTIONS = 65_536
-# int32 values in one (states × options × shifts) block of a batched level;
-# the PSD ceiling runs per block too.  One PSD call per level raised the peak
-# memory of ℓ=25 first-pair searches from ≈36.5 to ≈39.6 MB.
+# Scores in one (options × states × shifts) block of a batched level; the PSD
+# ceiling runs per block too.  One PSD call per level raised the peak memory
+# of ℓ=25 first-pair searches from ≈36.5 to ≈39.6 MB.
 TAIL_BLOCK = 2**14
 
 
 @functools.lru_cache(maxsize=64)
-def _options(m: int, k: int, laps: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Every ±1 vector of length m with k entries -1, in lex order of the -1
-    positions, and its cyclic PAF at offsets 1..laps.  Read-only: every
-    search shares them."""
+def _options(m: int, k: int, laps: int) -> np.ndarray:
+    """Every ±1 vector v of length m with k entries -1, in lex order of the
+    -1 positions, as the float64 row [v | v's cyclic PAF at offsets 1..laps
+    | 1]: the option side of _score_block's product.  Read-only: every plan
+    shares it."""
     combos = list(itertools.combinations(range(m), k))
-    v = np.ones((len(combos), m), dtype=np.int32)
+    x = np.ones((len(combos), m + laps + 1))
+    v = x[:, :m]
     np.put_along_axis(v, np.array(combos, dtype=np.intp).reshape(len(combos), k), -1, axis=1)
-    intra = (v[:, :, None] * v[:, (np.arange(m)[:, None] + np.arange(1, laps + 1)) % m]).sum(1)
-    v.flags.writeable = intra.flags.writeable = False
-    return v, intra
+    for r in range(1, laps + 1):
+        x[:, m + r - 1] = (v * np.roll(v, -r, axis=1)).sum(1)
+    x.flags.writeable = False
+    return x
+
+
+def _score_block(options: np.ndarray, rows: np.ndarray, part: np.ndarray, side: int,
+                 plus: np.ndarray, minus: np.ndarray, own: np.ndarray, slack: np.ndarray):
+    """Score every option of a class against every state of a block in one
+    float64 GEMM, ``options @ C``.
+
+    ``options`` are _options rows, ``rows`` the states' scored side (F × ℓ,
+    0 where unassigned) and ``part`` their partial PAFs (F × 2 × ℓ//2);
+    ``plus``/``minus`` index the class's partners i ± s and ``own`` selects
+    the shifts d, 2d, ... that pair the class with itself.  Per state, C
+    stacks the partner sums row[i + s] + row[i - s], ``own`` and
+    part_side + part_other + 2, so the product is z = new + 2 + part_other,
+    the joint bound's deficit: an option survives when |z| <= slack at every
+    shift.  It is exact: every operand and every partial sum is an integer of
+    magnitude at most 3m + 2ℓ + 2, far below 2**53, in any summation order.
+    Return the survivors in (state, option) order as state indices, option
+    indices and their scored side's new partial PAFs (int32)."""
+    m, n = plus.shape
+    c = np.empty((options.shape[1], len(rows), n))
+    c[:m] = (rows[:, plus] + rows[:, minus]).transpose(1, 0, 2)
+    c[m:-1] = own[:, None]
+    c[-1] = part[:, 0] + part[:, 1] + 2
+    z = (options @ c.reshape(len(c), -1)).reshape(len(options), len(rows), n)
+    s, o = np.nonzero((np.abs(z) <= slack).all(2).T)
+    return s, o, z[o, s].astype(np.int32) - 2 - part[s, 1 - side]
 
 
 def _tail_start(widths: Sequence[int]) -> int:
@@ -113,6 +144,76 @@ def _tail_start(widths: Sequence[int]) -> int:
     return start if len(widths) - start >= 3 else len(widths)
 
 
+class _Plan(NamedTuple):
+    """What a DFS over one candidate needs besides its seed; arrays read-only."""
+
+    steps: Tuple[Tuple[int, int], ...]  # (side, class) per depth
+    classes: np.ndarray  # classes[j] = (j, j + d, ...)
+    plus: np.ndarray  # plus[j][t, s - 1] = classes[j][t] + s mod ℓ
+    minus: np.ndarray  # likewise i - s
+    own: np.ndarray  # _score_block's selector of the shifts d, 2d, ...
+    slack: np.ndarray  # the joint bound's limit per depth and shift
+    options: Tuple[np.ndarray, ...]  # each depth's _options, in lex order
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(ell: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> _Plan:
+    """The search plan of candidate (a, b) at length ℓ, shared by every seed."""
+    d = len(a)
+    if len(b) != d or d == 0 or ell % d != 0:
+        raise SearchConfigError(f"candidate shape {d} does not divide ℓ={ell}")
+    m = ell // d
+    negs = (_negative_counts(a, m), _negative_counts(b, m))
+
+    classes = np.arange(ell).reshape(m, d).T
+    # most-constrained-first: fewest subset choices first
+    order = sorted(
+        range(d), key=lambda j: (math.comb(m, negs[0][j]) * math.comb(m, negs[1][j]), j)
+    )
+    steps = tuple((side, j) for j in order for side in (0, 1))
+    nshifts = ell // 2
+    shifts = np.arange(1, nshifts + 1)
+    plus = (classes[:, :, None] + shifts) % ell
+    minus = (classes[:, :, None] - shifts) % ell
+    # at a half-period shift (even ℓ) i + s and i - s are one entry: gather
+    # the second term from the class's own entry, still 0 while it is scored
+    minus = np.where(minus == plus, classes[:, :, None], minus)
+    laps = nshifts // d
+    own = np.zeros((laps, nshifts))
+    own[np.arange(laps), np.arange(d - 1, nshifts, d)] = 1
+
+    # Every product is ±1, so a PAF is ≡ ℓ (mod 2) and the joint bound's gap
+    # minus slack is always even.  Per shift class c = ±s mod d, the
+    # compression identity fixes each side's PAF summed over the class's
+    # tracked shifts (paf(row, c); halved net of PAF(0) = ℓ for c = 0), so it
+    # must be ≡ ℓ times their count: one parity test per candidate.  At even
+    # ℓ the half-period shift gets half weight and m = 2 always fails; no
+    # even-length pair exists (σ_A² + σ_B² would be 2).
+    shift_class = np.minimum(shifts % d, -shifts % d).tolist()
+    parity_ok = all(
+        ((paf(row, 0) - ell) // 2 if c == 0 else paf(row, c)) % 2 == ell * shift_class.count(c) % 2
+        for row in (a, b)
+        for c in set(shift_class)
+    )
+
+    slack = np.zeros((len(steps), nshifts), dtype=np.int64)
+    seen = np.zeros((2, ell), dtype=bool)
+    unknown = np.full((2, nshifts), ell, dtype=np.int32)
+    for depth, (side, j) in enumerate(steps):
+        # products fixed by this step: partners already assigned at i - s
+        # (outside the class), and at i + s once the class itself is assigned
+        done = seen[side, minus[j]].sum(0)
+        seen[side, classes[j]] = True
+        unknown[side] -= done + seen[side, plus[j]].sum(0)
+        slack[depth] = unknown.sum(0)  # the bound's limit per shift after this step
+    if not parity_ok:  # no option of any depth passes: prune all of depth 0
+        slack[0] = -1
+    for arr in (classes, plus, minus, own, slack):
+        arr.flags.writeable = False
+    options = tuple(_options(m, negs[side][j], laps) for side, j in steps)
+    return _Plan(steps, classes, plus, minus, own, slack, options)
+
+
 def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> SearchResult:
     """Depth-first search for ±1 pairs whose m-compressions equal (cand.a, cand.b).
 
@@ -124,83 +225,40 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     product left, so there the joint bound is PAF_A(s) + PAF_B(s) = -2 on
     shifts 1..ℓ//2: every leaf reached is a pair and is emitted as it is.
 
-    Every option of a depth is scored at once against a state: the PAF gain
-    of option v in class j is ``v @ C_j`` plus a term of v alone at shifts
-    ≡ 0 (mod d), with ``C_j[t, s] = row[i_t + s] + row[i_t - s]``; the
-    unknown products depend on the depth only.  The walk does this for one
-    state per depth down to the tail's first depth (_tail_start); below it,
-    one call scores the whole subtree a level at a time, every surviving
-    state of a level against every option of the next, and keeps survivors
-    in (state, option) order, which is preorder.  Each option counts as one
-    node, in the seeded order, so budgets cut the same tree prefix: a subtree
-    counts its widths times its live states, and when the budget or
-    max_solutions cuts inside it, a leaf's preorder rank is its parent's
-    rank, plus its option index and 1, plus the nodes below its earlier live
-    siblings.
+    Everything but the seeded option order comes from the candidate's cached
+    _plan; a search shuffles each depth's option rows and walks.  Every option
+    of a depth is scored at once against a block of states by _score_block,
+    one exact float64 GEMM: the PAF gain of option v in class j is
+    ``v @ C_j`` plus a term of v alone at shifts ≡ 0 (mod d), with
+    ``C_j[t, s] = row[i_t + s] + row[i_t - s]``; the unknown products depend
+    on the depth only.  The walk does this for one state per depth down to
+    the tail's first depth (_tail_start); below it, one call scores the whole
+    subtree a level at a time, every surviving state of a level against every
+    option of the next, and keeps survivors in (state, option) order, which
+    is preorder.  Each option counts as one node, in the seeded order, so
+    budgets cut the same tree prefix: a subtree counts its widths times its
+    live states, and when the budget or max_solutions cuts inside it, a
+    leaf's preorder rank is its parent's rank, plus its option index and 1,
+    plus the nodes below its earlier live siblings.
     """
     cfg.validate()
     if cfg.strategy != "backtrack":
         raise SearchConfigError("uncompress_search requires strategy='backtrack'")
-    d = len(cand.a)
-    if len(cand.b) != d or d == 0 or ell % d != 0:
-        raise SearchConfigError(f"candidate shape {d} does not divide ℓ={ell}")
-    m = ell // d
-    negs = (_negative_counts(cand.a, m), _negative_counts(cand.b, m))
-
-    classes = np.arange(ell).reshape(m, d).T  # classes[j] = (j, j + d, ...)
-    # most-constrained-first: fewest subset choices first
-    order = sorted(
-        range(d), key=lambda j: (math.comb(m, negs[0][j]) * math.comb(m, negs[1][j]), j)
-    )
-    steps = [(side, j) for j in order for side in (0, 1)]
-    nshifts = ell // 2
-    shifts = np.arange(1, nshifts + 1)
-    plus = (classes[:, :, None] + shifts) % ell
-    minus = (classes[:, :, None] - shifts) % ell
-    # at a half-period shift (even ℓ) i + s and i - s are one entry: gather
-    # the second term from the class's own entry, still 0 while it is scored
-    minus = np.where(minus == plus, classes[:, :, None], minus)
-
-    own = slice(d - 1, nshifts, d)  # shifts d, 2d, ... pair a class with itself
-    # Every product is ±1, so a PAF is ≡ ℓ (mod 2) and the joint bound's gap
-    # minus slack is always even.  Per shift class c = ±s mod d, the
-    # compression identity fixes each side's PAF summed over the class's
-    # tracked shifts (paf(row, c); halved net of PAF(0) = ℓ for c = 0), so it
-    # must be ≡ ℓ times their count: one parity test per candidate.  At even
-    # ℓ the half-period shift gets half weight and m = 2 always fails; no
-    # even-length pair exists (σ_A² + σ_B² would be 2).
-    shift_class = np.minimum(shifts % d, -shifts % d).tolist()
-    parity_ok = all(
-        ((paf(row, 0) - ell) // 2 if c == 0 else paf(row, c)) % 2 == ell * shift_class.count(c) % 2
-        for row in (cand.a, cand.b)
-        for c in set(shift_class)
-    )
+    steps, classes, plus, minus, own, slack, matrices = _plan(ell, tuple(cand.a), tuple(cand.b))
+    m, nshifts = plus.shape[1:]
 
     rng = random.Random(cfg.seed)
-    values, intra, slack = [], [], []
-    seen = np.zeros((2, ell), dtype=bool)
-    unknown = np.full((2, nshifts), ell, dtype=np.int32)
-    for side, j in steps:
-        # products inside the class: the option's own cyclic PAF at s/d
-        lex, lex_intra = _options(m, negs[side][j], nshifts // d)
+    options = []
+    for x in matrices:
         # shuffle's swaps depend only on the length: the seeded option order
-        perm = list(range(len(lex)))
+        perm = list(range(len(x)))
         rng.shuffle(perm)
-        values.append(lex[perm])
-        intra.append(lex_intra[perm])
-        # products fixed by this step: partners already assigned at i - s
-        # (outside the class), and at i + s once the class itself is assigned
-        done = seen[side, minus[j]].sum(0)
-        seen[side, classes[j]] = True
-        unknown[side] -= done + seen[side, plus[j]].sum(0)
-        slack.append(unknown.sum(0))  # the bound's limit per shift after this step
-    if not parity_ok:  # no option of any depth passes: prune all of depth 0
-        slack[0] = np.full(nshifts, -1)
+        options.append(x[perm])
 
     result = SearchResult()
     psd_limit = 2 * ell + 2 + PSD_CEILING_TOL
     a_last_step = len(steps) - 2  # the A side is complete after it
-    tail = _tail_start([len(v) for v in values])
+    tail = _tail_start([len(x) for x in options])
 
     def level(depth: int, states: np.ndarray, part: np.ndarray):
         """Score every option of a depth against every state: ``states`` are
@@ -208,29 +266,26 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         survivors in (state, option) order as state indices, option indices
         and their scored side's partial PAFs."""
         side, j = steps[depth]
-        v = values[depth]
-        chunk = max(1, TAIL_BLOCK // (len(v) * nshifts))
+        x = options[depth]
+        chunk = max(1, TAIL_BLOCK // (len(x) * nshifts))
         found = []
         for lo in range(0, len(states), chunk):
-            rows, pt = states[lo:lo + chunk], part[lo:lo + chunk]
-            gain = v @ (rows[:, side, plus[j]] + rows[:, side, minus[j]])
-            gain[:, :, own] += intra[depth]
-            new = pt[:, side, None] + gain
-            ok = ~(np.abs(-2 - new - pt[:, None, 1 - side]) > slack[depth]).any(2)
-            s, o = np.nonzero(ok)
+            rows = states[lo:lo + chunk]
+            s, o, new = _score_block(x, rows[:, side], part[lo:lo + chunk], side,
+                                     plus[j], minus[j], own, slack[depth])
             if cfg.psd_prune and depth == a_last_step and len(s):
                 full = rows[s, 0]
-                full[:, classes[j]] = v[o]
+                full[:, classes[j]] = x[o, :m]
                 keep = psd_vector(full)[:, 1:].max(1) <= psd_limit
-                s, o = s[keep], o[keep]
-            found.append((s + lo, o, new[s, o]))
-        return (np.concatenate(x) for x in zip(*found))
+                s, o, new = s[keep], o[keep], new[keep]
+            found.append((s + lo, o, new))
+        return (np.concatenate(v) for v in zip(*found))
 
     def leaf_ranks(levels) -> np.ndarray:
         """Preorder rank of each leaf of a subtree, its root ranked 0."""
         below = [np.zeros(len(levels[-1][0]) if levels else 1, dtype=np.int64)]
         for i in range(len(levels) - 1, 0, -1):  # nodes below each survivor
-            b = np.full(len(levels[i - 1][0]), len(values[tail + i]), dtype=np.int64)
+            b = np.full(len(levels[i - 1][0]), len(options[tail + i]), dtype=np.int64)
             np.add.at(b, levels[i][0], below[0])
             below.insert(0, b)
         rank = np.zeros(1, dtype=np.int64)
@@ -259,11 +314,11 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             if not len(leaves):
                 break
             side, j = steps[depth]
-            size += len(leaves) * len(values[depth])
+            size += len(leaves) * len(options[depth])
             s, o, new = level(depth, leaves, part)
             levels.append((s, o))
             leaves = leaves[s]
-            leaves[:, side, classes[j]] = values[depth][o]
+            leaves[:, side, classes[j]] = options[depth][o, :m]
             part = part[s]
             part[:, side] = new
         room = budget - nodes
@@ -289,7 +344,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         depth, live, new, part, pos, taken = frame
         side, j = steps[depth]
         if pos == len(live):  # only pruned options remain at this depth
-            nodes += len(values[depth]) - taken
+            nodes += len(options[depth]) - taken
             if nodes > budget:
                 nodes, stop = budget, True
                 break
@@ -303,7 +358,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             break
         nodes += 1
         frame[4:] = pos + 1, k + 1
-        rows[0, side, classes[j]] = values[depth][k]
+        rows[0, side, classes[j]] = options[depth][k, :m]
         child = part.copy()
         child[side] = new[pos]
         if depth + 1 < tail:

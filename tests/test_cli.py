@@ -151,6 +151,11 @@ class TestBadInput:
         pytest.param(["verify", "{in}", "{seq}"], None, ("{in}",), id="verify-directory"),
         pytest.param(["candidates", "--out", "{out}"], [], ("--ell", "--profile"),
                      id="candidates-no-source"),
+        pytest.param(DECOMPRESS + ["--max-solutions", "-1"], {"ell": 15, "m": 3, "pairs": [L15_ROWS]},
+                     ("max_solutions",), id="decompress-negative-max-solutions"),
+        pytest.param(["search-orbit", "--ell", "15", "--gen", "1", "--ones", "7",
+                      "--max-solutions", "-1"], [], ("max_solutions",),
+                     id="search-orbit-negative-max-solutions"),
     ])
     def test_exits_two_without_traceback(self, tmp_path, capsys, argv, content, names):
         bad = tmp_path / "in"

@@ -350,10 +350,96 @@ class TestBatchedTail:
         assert decompress._tail_start([1, 1, 1]) == 0
 
     def test_option_matrices_are_shared_read_only(self):
-        values, intra = decompress._options(5, 2, 2)
-        assert decompress._options(5, 2, 2)[0] is values
-        assert values.shape == (10, 5) and intra.shape == (10, 2)
-        assert not values.flags.writeable and not intra.flags.writeable
+        options = decompress._options(5, 2, 2)
+        assert decompress._options(5, 2, 2) is options
+        assert options.shape == (10, 5 + 2 + 1)  # [v | intra-class PAF | 1]
+        assert not options.flags.writeable
+
+
+def partial_paf(rows, nshifts):
+    """Exact int64 cyclic PAF at shifts 1..nshifts of rows that are 0 where
+    unassigned."""
+    rows = rows.astype(np.int64)
+    return np.stack([(rows * np.roll(rows, -s, axis=-1)).sum(-1)
+                     for s in range(1, nshifts + 1)], -1)
+
+
+class TestScoreBlock:
+    """The float64 GEMM scorer against an int64 reference: the same survivors,
+    in (state, option) order, and the same partial PAFs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ell=st.sampled_from([15, 25, 35, 45]),
+        ci=st.integers(0, 10**6),
+        frac=st.floats(0, 1),
+        states=st.sampled_from([1, 24]),
+        loose=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_int64_reference(self, ell, ci, frac, states, loose, seed):
+        cands = cached_candidates(ell // 5)
+        cand = cands[ci % len(cands)]
+        plan = decompress._plan(ell, cand.a, cand.b)
+        m, nshifts = plan.plus.shape[1:]
+        depth = min(int(frac * len(plan.steps)), len(plan.steps) - 1)
+        # reachable states: random options assigned to every earlier depth
+        rng = np.random.default_rng(seed)
+        rows = np.zeros((states, 2, ell), dtype=np.int8)
+        for (side, j), options in zip(plan.steps[:depth], plan.options):
+            rows[:, side, plan.classes[j]] = options[rng.integers(len(options), size=states), :m]
+        part = np.stack([partial_paf(rows[:, 0], nshifts), partial_paf(rows[:, 1], nshifts)], 1)
+        side, j = plan.steps[depth]
+        options = plan.options[depth]
+        slack = np.full(nshifts, 4 * ell) if loose else plan.slack[depth]
+
+        s, o, new = decompress._score_block(options, rows[:, side], part.astype(np.int32), side,
+                                            plan.plus[j], plan.minus[j], plan.own, slack)
+
+        full = np.repeat(rows[:, side, None].astype(np.int64), len(options), 1)
+        full[:, :, plan.classes[j]] = options[:, :m]
+        ref = partial_paf(full, nshifts)  # (states, options, shifts)
+        deficit = -2 - ref - part[:, None, 1 - side]
+        ref_s, ref_o = np.nonzero((np.abs(deficit) <= slack).all(2))
+        np.testing.assert_array_equal(s, ref_s)
+        np.testing.assert_array_equal(o, ref_o)
+        assert new.dtype == np.int32
+        np.testing.assert_array_equal(new, ref[ref_s, ref_o])
+        if loose:
+            assert len(s) == states * len(options)
+
+
+class TestPlanCache:
+    """A candidate's plan is built once and shared, read-only, by its searches."""
+
+    def test_plan_arrays_are_read_only(self):
+        cand = cached_candidates(5)[0]
+        plan = decompress._plan(25, cand.a, cand.b)
+        arrays = [a for a in plan if isinstance(a, np.ndarray)] + list(plan.options)
+        assert len(arrays) == 5 + len(plan.steps)
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_interleaved_searches_match_a_cold_plan(self):
+        a, b = cached_candidates(3)
+        runs = [(a, 3), (b, 4), (a, 5)]
+        warm = [uncompress_search(15, cand, SearchConfig(seed=seed, budget_nodes=4000))
+                for cand, seed in runs]
+        assert any(res.pairs for res in warm)
+        for (cand, seed), res in zip(runs, warm):
+            decompress._plan.cache_clear()
+            cold = uncompress_search(15, cand, SearchConfig(seed=seed, budget_nodes=4000))
+            assert cold.pairs == res.pairs
+            assert cold.nodes_visited == res.nodes_visited
+            assert cold.exhausted == res.exhausted
+
+    def test_option_matrices_shared_across_plans(self):
+        plans = [decompress._plan(25, c.a, c.b) for c in cached_candidates(5)]
+        by_k = {}
+        for plan in plans:
+            for options in plan.options:
+                k = int((options[0, :5] < 0).sum())
+                assert by_k.setdefault(k, options) is options
+        assert {id(x) for x in plans[0].options} & {id(x) for x in plans[1].options}
 
 
 def oracle_block_pairs(ell):
