@@ -95,8 +95,8 @@ TAIL_BLOCK = 2**14
 def _options(m: int, k: int, laps: int) -> np.ndarray:
     """Every ±1 vector v of length m with k entries -1, in lex order of the
     -1 positions, as the float64 row [v | v's cyclic PAF at offsets 1..laps
-    | 1]: the option side of _score_block's product.  Read-only: every plan
-    shares it."""
+    | 1]: the option side of _score_block's product.  Read-only: every
+    search shares it."""
     combos = list(itertools.combinations(range(m), k))
     x = np.ones((len(combos), m + laps + 1))
     v = x[:, :m]
@@ -107,13 +107,15 @@ def _options(m: int, k: int, laps: int) -> np.ndarray:
     return x
 
 
-def _score_block(options: np.ndarray, rows: np.ndarray, part: np.ndarray, side: int,
-                 plus: np.ndarray, minus: np.ndarray, own: np.ndarray, slack: np.ndarray):
+def _score_block(options: np.ndarray, order: np.ndarray, rows: np.ndarray, part: np.ndarray,
+                 side: int, plus: np.ndarray, minus: np.ndarray, own: np.ndarray,
+                 slack: np.ndarray):
     """Score every option of a class against every state of a block in one
     float64 GEMM, ``options @ C``.
 
-    ``options`` are _options rows, ``rows`` the states' scored side (F × ℓ,
-    0 where unassigned) and ``part`` their partial PAFs (F × 2 × ℓ//2);
+    ``options`` are _options rows, ``order`` the lex index of each option in
+    the search's order, ``rows`` the states' scored side (F × ℓ, 0 where
+    unassigned) and ``part`` their partial PAFs (F × 2 × ℓ//2);
     ``plus``/``minus`` index the class's partners i ± s and ``own`` selects
     the shifts d, 2d, ... that pair the class with itself.  Per state, C
     stacks the partner sums row[i + s] + row[i - s], ``own`` and
@@ -121,16 +123,16 @@ def _score_block(options: np.ndarray, rows: np.ndarray, part: np.ndarray, side: 
     the joint bound's deficit: an option survives when |z| <= slack at every
     shift.  It is exact: every operand and every partial sum is an integer of
     magnitude at most 3m + 2ℓ + 2, far below 2**53, in any summation order.
-    Return the survivors in (state, option) order as state indices, option
-    indices and their scored side's new partial PAFs (int32)."""
+    Return the survivors in (state, option) order as state indices, positions
+    in ``order`` and their scored side's new partial PAFs (int32)."""
     m, n = plus.shape
     c = np.empty((options.shape[1], len(rows), n))
     c[:m] = (rows[:, plus] + rows[:, minus]).transpose(1, 0, 2)
     c[m:-1] = own[:, None]
     c[-1] = part[:, 0] + part[:, 1] + 2
     z = (options @ c.reshape(len(c), -1)).reshape(len(options), len(rows), n)
-    s, o = np.nonzero((np.abs(z) <= slack).all(2).T)
-    return s, o, z[o, s].astype(np.int32) - 2 - part[s, 1 - side]
+    s, o = np.nonzero((np.abs(z) <= slack).all(2)[order].T)
+    return s, o, z[order[o], s].astype(np.int32) - 2 - part[s, 1 - side]
 
 
 def _tail_start(widths: Sequence[int]) -> int:
@@ -145,7 +147,7 @@ def _tail_start(widths: Sequence[int]) -> int:
 
 
 class _Plan(NamedTuple):
-    """What a DFS over one candidate needs besides its seed; arrays read-only."""
+    """What a DFS over one candidate needs besides its seed."""
 
     steps: Tuple[Tuple[int, int], ...]  # (side, class) per depth
     classes: np.ndarray  # classes[j] = (j, j + d, ...)
@@ -156,9 +158,8 @@ class _Plan(NamedTuple):
     options: Tuple[np.ndarray, ...]  # each depth's _options, in lex order
 
 
-@functools.lru_cache(maxsize=64)
-def _plan(ell: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> _Plan:
-    """The search plan of candidate (a, b) at length ℓ, shared by every seed."""
+def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
+    """The search plan of candidate (a, b) at length ℓ."""
     d = len(a)
     if len(b) != d or d == 0 or ell % d != 0:
         raise SearchConfigError(f"candidate shape {d} does not divide ℓ={ell}")
@@ -208,8 +209,6 @@ def _plan(ell: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> _Plan:
         slack[depth] = unknown.sum(0)  # the bound's limit per shift after this step
     if not parity_ok:  # no option of any depth passes: prune all of depth 0
         slack[0] = -1
-    for arr in (classes, plus, minus, own, slack):
-        arr.flags.writeable = False
     options = tuple(_options(m, negs[side][j], laps) for side, j in steps)
     return _Plan(steps, classes, plus, minus, own, slack, options)
 
@@ -225,11 +224,11 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     product left, so there the joint bound is PAF_A(s) + PAF_B(s) = -2 on
     shifts 1..ℓ//2: every leaf reached is a pair and is emitted as it is.
 
-    Everything but the seeded option order comes from the candidate's cached
-    _plan; a search shuffles each depth's option rows and walks.  Every option
-    of a depth is scored at once against a block of states by _score_block,
-    one exact float64 GEMM: the PAF gain of option v in class j is
-    ``v @ C_j`` plus a term of v alone at shifts ≡ 0 (mod d), with
+    The option matrices stay in lex order, shared by every search; a search
+    keeps only its seeded option order, as lex indices per depth.  Every
+    option of a depth is scored at once against a block of states by
+    _score_block, an exact float64 GEMM: the PAF gain of option v in class j
+    is ``v @ C_j`` plus a term of v alone at shifts ≡ 0 (mod d), with
     ``C_j[t, s] = row[i_t + s] + row[i_t - s]``; the unknown products depend
     on the depth only.  The walk does this for one state per depth down to
     the tail's first depth (_tail_start); below it, one call scores the whole
@@ -244,21 +243,25 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     cfg.validate()
     if cfg.strategy != "backtrack":
         raise SearchConfigError("uncompress_search requires strategy='backtrack'")
-    steps, classes, plus, minus, own, slack, matrices = _plan(ell, tuple(cand.a), tuple(cand.b))
+    steps, classes, plus, minus, own, slack, options = _plan(ell, cand.a, cand.b)
     m, nshifts = plus.shape[1:]
 
     rng = random.Random(cfg.seed)
-    options = []
-    for x in matrices:
+    orders = []  # per depth, the lex index of each option in the seeded order
+    for x in options:
         # shuffle's swaps depend only on the length: the seeded option order
         perm = list(range(len(x)))
         rng.shuffle(perm)
-        options.append(x[perm])
+        orders.append(np.array(perm))
 
     result = SearchResult()
     psd_limit = 2 * ell + 2 + PSD_CEILING_TOL
     a_last_step = len(steps) - 2  # the A side is complete after it
-    tail = _tail_start([len(x) for x in options])
+    tail = _tail_start([len(order) for order in orders])
+
+    def chosen(depth: int, o) -> np.ndarray:
+        """The ±1 values of the options at positions o of a depth's order."""
+        return options[depth][orders[depth][o], :m]
 
     def level(depth: int, states: np.ndarray, part: np.ndarray):
         """Score every option of a depth against every state: ``states`` are
@@ -266,26 +269,26 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         survivors in (state, option) order as state indices, option indices
         and their scored side's partial PAFs."""
         side, j = steps[depth]
-        x = options[depth]
-        chunk = max(1, TAIL_BLOCK // (len(x) * nshifts))
+        order = orders[depth]
+        chunk = max(1, TAIL_BLOCK // (len(order) * nshifts))
         found = []
         for lo in range(0, len(states), chunk):
             rows = states[lo:lo + chunk]
-            s, o, new = _score_block(x, rows[:, side], part[lo:lo + chunk], side,
-                                     plus[j], minus[j], own, slack[depth])
+            s, o, new = _score_block(options[depth], order, rows[:, side], part[lo:lo + chunk],
+                                     side, plus[j], minus[j], own, slack[depth])
             if cfg.psd_prune and depth == a_last_step and len(s):
                 full = rows[s, 0]
-                full[:, classes[j]] = x[o, :m]
+                full[:, classes[j]] = chosen(depth, o)
                 keep = psd_vector(full)[:, 1:].max(1) <= psd_limit
                 s, o, new = s[keep], o[keep], new[keep]
             found.append((s + lo, o, new))
-        return (np.concatenate(v) for v in zip(*found))
+        return (np.concatenate(x) for x in zip(*found))
 
     def leaf_ranks(levels) -> np.ndarray:
         """Preorder rank of each leaf of a subtree, its root ranked 0."""
         below = [np.zeros(len(levels[-1][0]) if levels else 1, dtype=np.int64)]
         for i in range(len(levels) - 1, 0, -1):  # nodes below each survivor
-            b = np.full(len(levels[i - 1][0]), len(options[tail + i]), dtype=np.int64)
+            b = np.full(len(levels[i - 1][0]), len(orders[tail + i]), dtype=np.int64)
             np.add.at(b, levels[i][0], below[0])
             below.insert(0, b)
         rank = np.zeros(1, dtype=np.int64)
@@ -314,11 +317,11 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             if not len(leaves):
                 break
             side, j = steps[depth]
-            size += len(leaves) * len(options[depth])
+            size += len(leaves) * len(orders[depth])
             s, o, new = level(depth, leaves, part)
             levels.append((s, o))
             leaves = leaves[s]
-            leaves[:, side, classes[j]] = options[depth][o, :m]
+            leaves[:, side, classes[j]] = chosen(depth, o)
             part = part[s]
             part[:, side] = new
         room = budget - nodes
@@ -344,7 +347,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         depth, live, new, part, pos, taken = frame
         side, j = steps[depth]
         if pos == len(live):  # only pruned options remain at this depth
-            nodes += len(options[depth]) - taken
+            nodes += len(orders[depth]) - taken
             if nodes > budget:
                 nodes, stop = budget, True
                 break
@@ -358,7 +361,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             break
         nodes += 1
         frame[4:] = pos + 1, k + 1
-        rows[0, side, classes[j]] = options[depth][k, :m]
+        rows[0, side, classes[j]] = chosen(depth, k)
         child = part.copy()
         child[side] = new[pos]
         if depth + 1 < tail:
