@@ -623,6 +623,7 @@ ORBIT_CASES = {
     "l15-exhaustive-nop2": lambda: (15, block_cfg(15, **L15_ALL, p2_prefilter=False)),
     "l15-exhaustive-nopsd": lambda: (15, block_cfg(
         15, **L15_ALL, p2_prefilter=False, psd_prune=False)),
+    "l15-exhaustive-p2-nopsd": lambda: (15, block_cfg(15, **L15_ALL, psd_prune=False)),
     "l15-hints-dup": lambda: (15, block_cfg(
         15, **L15_ALL, p2_prefilter=False, hint_codes=DUP_HINTS)),
     "l15-hints-dup-budget": lambda: (15, block_cfg(
@@ -637,6 +638,10 @@ ORBIT_CASES = {
     "l21-hints-sample": lambda: (21, block_cfg(21, **L21_SAMPLE, hint_codes=DUP_HINTS)),
     # C(70, 35) > 2**63: ranks no longer fit a machine integer
     "l71-sample": lambda: (71, block_cfg(71, seed=2, budget_nodes=1_500)),
+    # 2-orbits, p2, frequencies reduced by the multiplier and a sampled pair
+    "l45-sample-first": lambda: (45, SearchConfig(
+        strategy="orbit_restricted", subgroup_generators=(19,), ones_orbits=4,
+        twos_orbits=9, seed=1, max_solutions=1, budget_nodes=400_000)),
 }
 
 
@@ -649,6 +654,7 @@ ORBIT_PINS = {  # case: (nodes, exhausted, pairs, orbit_sha256)
     "l15-exhaustive-p2": (3432, True, 3464, "1c6ab61191e521c9cc7ca1a846b6a2673ae21babbba640739a402583cc12c7d4"),
     "l15-exhaustive-nop2": (3432, True, 5512, "6270aebe9cc82aad6895002bc4104b7d23fd70189cbff2a448c5c12cfdb5b545"),
     "l15-exhaustive-nopsd": (3432, True, 5512, "6270aebe9cc82aad6895002bc4104b7d23fd70189cbff2a448c5c12cfdb5b545"),
+    "l15-exhaustive-p2-nopsd": (3432, True, 3464, "1c6ab61191e521c9cc7ca1a846b6a2673ae21babbba640739a402583cc12c7d4"),
     "l15-hints-dup": (3432, True, 5512, "9bc80925897ce579904b0030faa58f0a15f88bc27b33a6a8f707079751c22d96"),
     "l15-hints-dup-budget": (600, False, 189, "07b7b502fbc6d74970f828436cfeb5e228066c4d608cb9c55bc8d29bb48ae5ea"),
     "l15-sample-exhausted": (3432, True, 5512, "ba5c0e547f9b30e8163fc885b39dd49ea0ed63e6f044475c5a55b0c07db406a4"),
@@ -656,6 +662,7 @@ ORBIT_PINS = {  # case: (nodes, exhausted, pairs, orbit_sha256)
     "l21-sample": (20000, False, 753, "e6bed09297db7e843ac6716141306c407cf74fc40f7d2958141709f7a7060fb0"),
     "l21-hints-sample": (20000, False, 753, "e6bed09297db7e843ac6716141306c407cf74fc40f7d2958141709f7a7060fb0"),
     "l71-sample": (1500, False, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "l45-sample-first": (107293, False, 1, "f97715d71ebd6dfc685a981217b90c4c0feac956687dd713fe521c5369fa0f17"),
 }
 
 
@@ -679,11 +686,11 @@ class TestOrbitPinned:
     @pytest.mark.parametrize("chunk", [1, 7, decompress.CHUNK])
     @pytest.mark.parametrize("name", [
         "l21-scan-max1", "l21-scan-budget1300", "l15-hints-dup-budget", "l15-sample-exhausted",
-        "l21-sample", "l71-sample",
+        "l21-sample", "l71-sample", "l15-exhaustive-p2-nopsd",
     ])
     def test_chunk_size_invariant(self, monkeypatch, chunk, name):
         """Any chunk size gives the pinned results: a max_solutions or budget
         stop inside a chunk, hints with repeats, sampling to exhaustion, repeat
-        draws across chunks, object keys."""
+        draws across chunks, object keys, p2 without the PSD ceiling."""
         monkeypatch.setattr(decompress, "CHUNK", chunk)
         self.test_pinned(name)
