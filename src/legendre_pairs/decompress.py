@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tu
 import numpy as np
 
 from .candgen import CandidatePair
-from .grouptools import LexRankCode, lex_unrank_masks, orbits
+from .grouptools import LexRankCode, OrbitTable, lex_unrank_masks, orbits
 from .seqcore import paf, paf_rows, psd_vector
 
 # No search calls these any more; the benchmark's tracer (bench/tracing.py)
@@ -446,6 +446,52 @@ def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
             yield np.array(new, dtype=dtype)
 
 
+def _orbit_columns(ell: int, table: OrbitTable, p2: bool, psd: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """How a selection's masks [ones | twos | never selected] give its
+    sequence and its filters, both linear in the masks.
+
+    Entry i of a sequence is residue i + 1, and the last entry is residue 0
+    (always +1), as in sequence_from_block; column[i] is the mask column of
+    the orbit holding that residue.  Row c of W sums over orbit c's entries
+    i: the count in each class i mod 5 (when ``p2``), then cos and sin of
+    2π(i + 1)k/ℓ for one frequency k per class of <generators, -1>, on which
+    the PSD is constant (when ``psd``).  O and -O make one class, whose least
+    member is min(O[0], ℓ - O[-1]); r·k is reduced mod ℓ before the angle.
+    """
+    selectable = table.orbits_by_size.get(1, []) + table.orbits_by_size.get(2, [])
+    column = np.full(ell, len(selectable))
+    for c, orb in enumerate(selectable):
+        column[[r - 1 for r in orb]] = c
+    i = np.arange(ell)
+    parts = [i[:, None] % 5 == np.arange(5 * p2)]
+    if psd:
+        reps = sorted({min(o[0], ell - o[-1]) for orbs in table.orbits_by_size.values() for o in orbs})
+        angle = 2 * np.pi / ell * ((i[:, None] + 1) * reps % ell)
+        parts += [np.cos(angle), np.sin(angle)]
+    member = column == np.arange(len(selectable) + 1)[:, None]
+    return column, member @ np.concatenate(parts, 1, dtype=np.float64)
+
+
+def _orbit_filter(ell: int, masks: np.ndarray, w: np.ndarray, p2: bool, psd: bool) -> np.ndarray:
+    """Which selections pass the p2 prefilter and the PSD ceiling, from one
+    float64 GEMM z = masks @ W (_orbit_columns).
+
+    p2 is exact: z holds integers of magnitude at most ℓ.  For k != 0,
+    DFT_k = -2 Σ ω^(rk) over the selected residues r, so PSD_k = 4(Re² + Im²);
+    its error is at most 8ℓ³·2**-53, far below PSD_CEILING_TOL.  A side of a
+    pair has PSD <= 2ℓ + 2 at every k != 0, so this and the FFT of the ±1 row
+    can only disagree on selections that no pair contains."""
+    z = masks.astype(np.float64) @ w
+    keep = np.ones(len(masks), dtype=bool)
+    if p2:
+        m5 = ell // 5
+        keep &= ((m5 - 2 * z[:, :5]) ** 2).sum(1) == 4 * m5 + 1
+    if psd:
+        re, im = np.split(z[:, 5 * p2:], 2, axis=1)
+        keep &= 4 * (re * re + im * im).max(1) <= 2 * ell + 2 + PSD_CEILING_TOL
+    return keep
+
+
 def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     """Search block sequences built from whole multiplier orbits.
 
@@ -457,11 +503,12 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
 
     Selections arrive as key arrays from _selections and are decoded and
     filtered CHUNK at a time: the keys split into ranks (rank1 = key mod
-    space1, rank2 = key // space1), LexRank masks pick orbit columns into a
-    (chunk × ℓ) ±1 matrix, the square-sum and the PSD ceiling run on the
-    whole stack, and exact integer PAF rows and rank tuples are formed for
-    the survivors only.  Survivors enter the pool in selection order, so
-    budgets and max_solutions stop at the same selection as one at a time.
+    space1, rank2 = key // space1) and LexRank masks, both filters run on the
+    masks in orbit space (_orbit_filter: one GEMM per chunk, one frequency
+    per class of <generators, -1>), and ±1 rows, exact integer PAF rows and
+    rank tuples are formed for the survivors only.  Survivors enter the pool
+    in selection order, so budgets and max_solutions stop at the same
+    selection as one at a time.
     """
     cfg.validate()
     if cfg.strategy != "orbit_restricted":
@@ -479,14 +526,8 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
         raise SearchConfigError(
             f"selection counts ({k1},{k2}) give block size {k1 + 2 * k2}, need {want}"
         )
-    m5 = ell // 5 if ell % 5 == 0 else None
-    psd_limit = 2 * ell + 2 + PSD_CEILING_TOL
-    # Entry i of a sequence is residue i + 1, and the last entry is residue 0
-    # (always +1), as in sequence_from_block.  column[i] is the mask column of
-    # the orbit holding that residue, in [ones | twos | never selected].
-    column = np.full(ell, n1 + n2)
-    for c, orb in enumerate(table.orbits_by_size.get(1, []) + table.orbits_by_size.get(2, [])):
-        column[[r - 1 for r in orb]] = c
+    p2 = ell % 5 == 0 and cfg.p2_prefilter
+    column, w = _orbit_columns(ell, table, p2, cfg.psd_prune)
 
     result = SearchResult()
     pool: Dict[bytes, List[int]] = {}  # PAF at shifts 1..ℓ//2 -> pool indices
@@ -504,16 +545,14 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
         take = min(CHUNK, cfg.budget_nodes - nodes)
         batch, keys = keys[:take], keys[take:]
         ranks1, ranks2 = batch % space1, batch // space1
-        masks = (lex_unrank_masks(n1, k1, ranks1), lex_unrank_masks(n2, k2, ranks2),
-                 np.zeros((len(batch), 1), dtype=bool))
-        rows = 1 - 2 * np.concatenate(masks, 1)[:, column].view(np.int8)
-        live = np.arange(len(batch))
-        if m5 is not None and cfg.p2_prefilter:
-            compressed = rows.reshape(len(batch), m5, 5).sum(1)
-            live = live[(compressed * compressed).sum(1) == 4 * m5 + 1]
-        if cfg.psd_prune and live.size:
-            live = live[psd_vector(rows[live])[:, 1:].max(1) <= psd_limit]
-        rows = rows[live]
+        twos = lex_unrank_masks(n2, k2, ranks2) if n2 else np.zeros((len(batch), 0), dtype=bool)
+        masks = np.concatenate((lex_unrank_masks(n1, k1, ranks1), twos,
+                                np.zeros((len(batch), 1), dtype=bool)), 1)
+        live = np.flatnonzero(_orbit_filter(ell, masks, w, p2, cfg.psd_prune))
+        if not live.size:
+            nodes += len(batch)
+            continue
+        rows = 1 - 2 * masks[live][:, column].view(np.int8)
         pafs = paf_rows(rows.astype(np.int32), ell // 2 + 1)[:, 1:]  # |PAF| <= ℓ
         survivors = zip(live.tolist(), ranks1[live].tolist(), ranks2[live].tolist())
 

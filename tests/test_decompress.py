@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import math
+import random
 from collections import defaultdict
 
 import numpy as np
@@ -21,9 +22,9 @@ from legendre_pairs.decompress import (
     orbit_search,
     uncompress_search,
 )
-from legendre_pairs.grouptools import GroupError, orbits
+from legendre_pairs.grouptools import GroupError, lex_unrank_masks, orbits
 from legendre_pairs.refdata import ell85, x_table
-from legendre_pairs.seqcore import compress, paf, verify_legendre_pair
+from legendre_pairs.seqcore import compress, paf, psd_vector, verify_legendre_pair
 
 
 def oracle_realizations(ell, cand):
@@ -579,6 +580,54 @@ class TestOrbitSearch:
         cfg2 = self.l85_cfg(budget_nodes=30)
         r1, r2 = orbit_search(85, cfg1), orbit_search(85, cfg2)
         assert r1.pairs == r2.pairs and r1.nodes_visited == r2.nodes_visited
+
+
+class TestOrbitFilter:
+    """The orbit-space filters (one float64 GEMM against _orbit_columns' W)
+    against the ±1-row path: the compressed rows' p2 sums exactly, the PSD
+    maximum over the frequency classes within 1e-9 of the FFT's over every
+    k != 0, and the same survivors as the square-sum then psd_vector."""
+
+    @pytest.mark.parametrize("ell, gens, k1, k2", [
+        (15, (1,), 7, 0),
+        (21, (1,), 10, 0),
+        (45, (19,), 4, 9),
+        (55, (34,), 3, 12),
+        (85, (69,), 12, 15),
+        (71, (1,), 35, 0),  # C(70, 35) > 2**63: object ranks
+    ])
+    def test_matches_row_filters(self, ell, gens, k1, k2):
+        table = orbits(ell, gens)
+        n1, n2 = table.class_count(1), table.class_count(2)
+        p2 = ell % 5 == 0
+        column, w = decompress._orbit_columns(ell, table, p2, True)
+        # one frequency per orbit of <generators, -1>: 26 at ℓ=85, 14 at ℓ=45
+        classes = orbits(ell, gens + (ell - 1,)).orbits_by_size.values()
+        assert w.shape[1] == 5 * p2 + 2 * sum(map(len, classes))
+        rnd = random.Random(ell)
+        count = 3000
+        ranks = [[rnd.randrange(math.comb(n, k)) for _ in range(count)]
+                 for n, k in ((n1, k1), (n2, k2))]
+        if ell == 85:  # random ℓ=85 selections almost never pass: add pairs' sides
+            ranks = [r + list(h) for r, h in zip(ranks, zip(*l85_hints()))]
+        masks = np.concatenate((lex_unrank_masks(n1, k1, ranks[0]),
+                                lex_unrank_masks(n2, k2, ranks[1]),
+                                np.zeros((len(ranks[0]), 1), dtype=bool)), 1)
+        rows = 1 - 2 * masks[:, column].astype(np.int64)
+        z = masks.astype(np.float64) @ w
+        old = np.ones(len(rows), dtype=bool)
+        if p2:
+            compressed = rows.reshape(len(rows), ell // 5, 5).sum(1)
+            np.testing.assert_array_equal(ell // 5 - 2 * z[:, :5], compressed)
+            old &= (compressed * compressed).sum(1) == 4 * (ell // 5) + 1
+        re, im = np.split(z[:, 5 * p2:], 2, axis=1)
+        psd = psd_vector(rows)[:, 1:].max(1)
+        np.testing.assert_allclose(4 * (re * re + im * im).max(1), psd, rtol=0, atol=1e-9)
+        old &= psd <= 2 * ell + 2 + decompress.PSD_CEILING_TOL
+        keep = decompress._orbit_filter(ell, masks, w, p2, True)
+        np.testing.assert_array_equal(keep, old)
+        if ell == 85:
+            assert keep[count:].all()
 
 
 def orbit_sha256(res):
