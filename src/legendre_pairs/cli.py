@@ -81,9 +81,10 @@ def _read_json(path: str, what: str, parse):
 
 
 def _parse_candidates(raw):
-    ell, m = raw["ell"], raw["m"]
+    ell, m = _ints(raw["ell"], raw["m"])
     cands = [
-        CandidatePair(a=tuple(p["a"]), b=tuple(p["b"]), ell=ell, m=m, x=p.get("x"))
+        CandidatePair(a=_ints(*p["a"]), b=_ints(*p["b"]), ell=ell, m=m,
+                      x=None if p.get("x") is None else _ints(p["x"])[0])
         for p in raw["pairs"]
     ]
     for cand in cands:
@@ -102,7 +103,8 @@ def _parse_profile(raw):
 
 
 def _ints(*values):
-    if not all(isinstance(v, int) for v in values):
+    # bool is a subclass of int, but JSON true is not a number
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
         raise ValueError(f"expected integers, got {values!r}")
     return values
 

@@ -133,13 +133,20 @@ class TestBadInput:
         pytest.param(CODES, {"a": {"1": 5}}, ("{in}",), id="codes-spec-int"),
         pytest.param(CODES, {"a": {"1": {"k": "12", "rank": 12}}}, ("{in}",),
                      id="codes-k-string"),
+        pytest.param(CODES, {side: {"1": {"k": True, "rank": 0}, "2": {"k": 15, "rank": 0}}
+                             for side in "ab"}, ("{in}",), id="codes-bool"),
         pytest.param(DECOMPRESS, [1, 2], ("{in}",), id="candidates-list"),
         pytest.param(DECOMPRESS, {"ell": 15, "m": 3, "pairs": [[[1], [1]]]}, ("{in}",),
                      id="candidate-pair-list"),
         # ℓ=15 rows declared as an ℓ=25 candidate: their joint PAF is -6, not -10
         pytest.param(DECOMPRESS, {"ell": 25, "m": 5, "pairs": [L15_ROWS]}, ("{in}",),
                      id="candidate-contradicts-m"),
+        pytest.param(DECOMPRESS, {"ell": 15, "m": 3, "pairs": [{**L15_ROWS, "a": [-3, 1, 1, 1, 1.0]}]},
+                     ("{in}",), id="candidates-float"),
+        pytest.param(DECOMPRESS, {"ell": 15, "m": 3, "pairs": [{**L15_ROWS, "a": [-3, 1, 1, 1, True]}]},
+                     ("{in}",), id="candidates-bool"),
         pytest.param(HINTS, [1, 2], ("{in}",), id="hints-flat"),
+        pytest.param(HINTS, [[True, 0]], ("{in}",), id="hints-bool"),
         pytest.param(HINTS, [[12, "x"]], ("{in}",), id="hints-rank-string"),
         pytest.param(HINTS, [[5000, 1]], ("rank 5000",), id="hints-rank-too-big"),
         pytest.param(HINTS, [[-1, 1]], ("rank -1",), id="hints-rank-negative"),
