@@ -41,6 +41,7 @@ from .seqcore import (
     psd_vector,
     read_sequences,
     verify_legendre_pair,
+    verify_pairs,
 )
 
 EXIT_OK = 0
@@ -143,18 +144,20 @@ def _write_pairs(args, t0: float, inputs: dict, results, unit: str) -> int:
     """Write the pairs of ``results`` as text to --out, with a .json sidecar
     and a manifest, or to stdout without --out; print the summary line.
 
-    Every pair is verified here, the one check on engine output: a pair that
-    fails exits 1 before anything is written."""
+    Every pair is verified here, the one check on engine output, by
+    verify_pairs per result: a pair that fails exits 1 before anything is
+    written."""
     lines, records = [], []
     for res in results:
-        for (A, B), codes in zip(res.pairs, res.codes):
-            rep = verify_legendre_pair(A, B)
-            if not rep.is_legendre_pair:
-                print(f"error: output pair {len(records)} is not a Legendre pair "
-                      f"(failing shift {rep.failing_shift})", file=sys.stderr)
-                return EXIT_NEGATIVE
+        failing, xs = verify_pairs(res.pairs)
+        if failing.any():
+            i = failing.nonzero()[0][0]
+            print(f"error: output pair {len(records) + i} is not a Legendre pair "
+                  f"(failing shift {failing[i]})", file=sys.stderr)
+            return EXIT_NEGATIVE
+        for (A, B), codes, x in zip(res.pairs, res.codes, xs):
             lines += [format_sequence(A), format_sequence(B)]
-            records.append({"x": rep.x_value, "codes": codes})
+            records.append({"x": x, "codes": codes})
     text = "\n".join(lines) + ("\n" if lines else "")
     nodes = sum(res.nodes_visited for res in results)
     exhausted = all(res.exhausted for res in results)

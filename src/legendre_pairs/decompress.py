@@ -389,9 +389,10 @@ def _selection_hash(seed: int, index: int, space1: int, space2: int) -> Tuple[in
 
 
 # Selections decoded and filtered per numpy pass.  Results do not depend on
-# it: survivors are matched one by one in selection order.  At ℓ=85, 512 ran
-# ≈7% faster but its float PSD temporaries raised peak memory by ≈3%.
-CHUNK = 256
+# it: survivors are matched one by one in selection order.  Each pass has a
+# fixed cost of numpy and Python calls: 512 ran ≈27% faster than 256 at ℓ=21
+# and ≈6% at ℓ=85, where its temporaries added ≈0.6 MB (1.5%) of peak memory.
+CHUNK = 512
 
 
 def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
@@ -469,26 +470,32 @@ def _orbit_columns(ell: int, table: OrbitTable, p2: bool, psd: bool) -> Tuple[np
         angle = 2 * np.pi / ell * ((i[:, None] + 1) * reps % ell)
         parts += [np.cos(angle), np.sin(angle)]
     member = column == np.arange(len(selectable) + 1)[:, None]
-    return column, member @ np.concatenate(parts, 1, dtype=np.float64)
+    w = member @ np.concatenate(parts, 1, dtype=np.float64)
+    w.flags.writeable = False  # _orbit_filter squares its product in place
+    return column, w
 
 
 def _orbit_filter(ell: int, masks: np.ndarray, w: np.ndarray, p2: bool, psd: bool) -> np.ndarray:
     """Which selections pass the p2 prefilter and the PSD ceiling, from one
-    float64 GEMM z = masks @ W (_orbit_columns).
+    float64 GEMM z = Wᵀ @ masksᵀ (_orbit_columns), features × selections,
+    so that both tests reduce over axis 0 of z and square it in place.
 
     p2 is exact: z holds integers of magnitude at most ℓ.  For k != 0,
     DFT_k = -2 Σ ω^(rk) over the selected residues r, so PSD_k = 4(Re² + Im²);
     its error is at most 8ℓ³·2**-53, far below PSD_CEILING_TOL.  A side of a
     pair has PSD <= 2ℓ + 2 at every k != 0, so this and the FFT of the ±1 row
     can only disagree on selections that no pair contains."""
-    z = masks.astype(np.float64) @ w
+    z = w.T @ masks.T.astype(np.float64)
     keep = np.ones(len(masks), dtype=bool)
     if p2:
         m5 = ell // 5
-        keep &= ((m5 - 2 * z[:, :5]) ** 2).sum(1) == 4 * m5 + 1
+        keep &= ((m5 - 2 * z[:5]) ** 2).sum(0) == 4 * m5 + 1
     if psd:
-        re, im = np.split(z[:, 5 * p2:], 2, axis=1)
-        keep &= 4 * (re * re + im * im).max(1) <= 2 * ell + 2 + PSD_CEILING_TOL
+        half = (len(z) + 5 * p2) // 2
+        re, im = z[5 * p2:half], z[half:]
+        np.square(re, out=re)
+        re += np.square(im, out=im)
+        keep &= 4 * re.max(0) <= 2 * ell + 2 + PSD_CEILING_TOL
     return keep
 
 
@@ -506,9 +513,11 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     space1, rank2 = key // space1) and LexRank masks, both filters run on the
     masks in orbit space (_orbit_filter: one GEMM per chunk, one frequency
     per class of <generators, -1>), and ±1 rows, exact integer PAF rows and
-    rank tuples are formed for the survivors only.  Survivors enter the pool
-    in selection order, so budgets and max_solutions stop at the same
-    selection as one at a time.
+    rank tuples are formed for the survivors only; their pool keys, PAF rows
+    and complements, come as bytes from one view per chunk.  Survivors enter
+    the pool in selection order, so budgets and max_solutions stop at the
+    same selection as one at a time.  Nodes count distinct selections, so
+    the search is exhausted when they reach C(n1, k1)·C(n2, k2).
     """
     cfg.validate()
     if cfg.strategy != "orbit_restricted":
@@ -554,20 +563,24 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
             continue
         rows = 1 - 2 * masks[live][:, column].view(np.int8)
         pafs = paf_rows(rows.astype(np.int32), ell // 2 + 1)[:, 1:]  # |PAF| <= ℓ
-        survivors = zip(live.tolist(), ranks1[live].tolist(), ranks2[live].tolist())
+        # pool keys: the survivors' PAF rows, then their complements, each
+        # as the bytes of a C-ordered int32 row (what tobytes gives)
+        both = np.ascontiguousarray([pafs, -2 - pafs])
+        keyed = both.view(np.dtype((np.void, both.strides[1]))).ravel().tolist()
+        survivors = zip(live.tolist(), ranks1[live].tolist(), ranks2[live].tolist(),
+                        map(tuple, rows.tolist()), keyed, keyed[len(live):])
 
-        for (i, rank1, rank2), row, pv, cv in zip(survivors, rows.tolist(), pafs, -2 - pafs):
-            seq = tuple(row)
+        for i, rank1, rank2, seq, pkey, ckey in survivors:
             codes = {1: (n1, k1, rank1)}
             if n2:
                 codes[2] = (n2, k2, rank2)
-            pool.setdefault(pv.tobytes(), []).append(len(pool_seqs))
+            pool.setdefault(pkey, []).append(len(pool_seqs))
             pool_seqs.append(seq)
             pool_codes.append(codes)
             # a complementary key is PAF_A + PAF_B = -2 on shifts 1..ℓ//2, the
             # definition of a pair; a self-complementary entry is the last
             # member of its own bucket and pairs with itself there
-            for other in pool.get(cv.tobytes(), ()):
+            for other in pool.get(ckey, ()):
                 result.pairs.append((pool_seqs[other], seq))
                 result.codes.append((pool_codes[other], codes))
             if cfg.max_solutions and len(result.pairs) >= cfg.max_solutions:
@@ -576,5 +589,7 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
         nodes += len(batch) - rest
 
     result.nodes_visited = nodes
-    result.exhausted = not rest and not keys.size and next(stream, None) is None
+    # nodes count distinct selections, so all were searched exactly when
+    # nodes reach their number; asking the stream would draw another chunk
+    result.exhausted = nodes == space1 * math.comb(n2, k2)
     return result

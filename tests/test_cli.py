@@ -277,6 +277,14 @@ class TestPipelineAndFiles:
         assert "output pair 0 is not a Legendre pair (failing shift 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failing_pair_index_counts_earlier_results(self, capsys):
+        qr = (1, -1, -1, 1, -1, 1, 1)  # -1 on the squares mod 7: a pair with itself
+        bad = (1, 1, 1, 1, -1, -1, -1)
+        results = [SearchResult(pairs=[(qr, qr)], codes=[None]),
+                   SearchResult(pairs=[(qr, qr), (bad, bad)], codes=[None, None])]
+        assert cli._write_pairs(None, 0.0, {}, results, "nodes") == 1
+        assert "output pair 2 is not a Legendre pair (failing shift 1)" in capsys.readouterr().err
+
     def test_search_orbit_bad_counts(self, capsys):
         rc = main([
             "search-orbit", "--ell", "85", "--gen", "69",

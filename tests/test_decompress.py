@@ -575,6 +575,22 @@ class TestOrbitSearch:
         if count is None:
             assert sorted(got) == list(range(space1 * space2))
 
+    def test_budget_on_a_chunk_boundary_draws_no_further(self, monkeypatch):
+        """Exhaustion follows from the node count: a sampled search whose
+        budget ends on a chunk boundary draws only the keys it searches."""
+        drawn = []
+        selections = decompress._selections
+
+        def counting(*args):
+            for keys in selections(*args):
+                drawn.append(len(keys))
+                yield keys
+
+        monkeypatch.setattr(decompress, "_selections", counting)
+        res = orbit_search(85, self.l85_cfg(seed=3, budget_nodes=2 * decompress.CHUNK))
+        assert res.nodes_visited == sum(drawn) == 2 * decompress.CHUNK
+        assert not res.exhausted
+
     def test_sampled_determinism(self):
         cfg1 = self.l85_cfg(budget_nodes=30)
         cfg2 = self.l85_cfg(budget_nodes=30)
@@ -601,6 +617,7 @@ class TestOrbitFilter:
         n1, n2 = table.class_count(1), table.class_count(2)
         p2 = ell % 5 == 0
         column, w = decompress._orbit_columns(ell, table, p2, True)
+        assert not w.flags.writeable  # _orbit_filter squares in place
         # one frequency per orbit of <generators, -1>: 26 at ℓ=85, 14 at ℓ=45
         classes = orbits(ell, gens + (ell - 1,)).orbits_by_size.values()
         assert w.shape[1] == 5 * p2 + 2 * sum(map(len, classes))
@@ -732,14 +749,17 @@ class TestOrbitPinned:
         # matches are emitted unchecked
         assert all(verify_legendre_pair(A, B).is_legendre_pair for A, B in res.pairs)
 
-    @pytest.mark.parametrize("chunk", [1, 7, decompress.CHUNK])
+    # 1 and 7 split chunks at many places, 256 at half of CHUNK
+    @pytest.mark.parametrize("chunk", [1, 7, 256, decompress.CHUNK])
     @pytest.mark.parametrize("name", [
         "l21-scan-max1", "l21-scan-budget1300", "l15-hints-dup-budget", "l15-sample-exhausted",
-        "l21-sample", "l71-sample", "l15-exhaustive-p2-nopsd",
+        "l21-sample", "l71-sample", "l15-exhaustive-p2-nopsd", "l15-exhaustive-p2",
+        "l21-scan-max50",
     ])
     def test_chunk_size_invariant(self, monkeypatch, chunk, name):
         """Any chunk size gives the pinned results: a max_solutions or budget
         stop inside a chunk, hints with repeats, sampling to exhaustion, repeat
-        draws across chunks, object keys, p2 without the PSD ceiling."""
+        draws across chunks, object keys, p2 with and without the PSD
+        ceiling, a max_solutions stop after many chunks."""
         monkeypatch.setattr(decompress, "CHUNK", chunk)
         self.test_pinned(name)

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from legendre_pairs import grouptools
 from legendre_pairs.grouptools import (
     Block,
     GroupError,
@@ -129,6 +130,23 @@ class TestLexRank:
             for rank, subset in enumerate(itertools.combinations(range(n), k)):
                 want[rank, list(subset)] = True
             assert (lex_unrank_masks(n, k, range(len(want))) == want).all()
+
+    @pytest.mark.parametrize("n, t", [(12, 12), (13, 5), (20, 12), (21, 5)])
+    def test_masks_every_rank_at_tail_edges(self, n, t):
+        """Every rank of every k where the directly decoded tail of t
+        elements covers all n, first follows a head group, spans 12 and then
+        5 elements; itertools.combinations is in lex order."""
+        for k in range(n + 1):
+            assert grouptools._lex_groups(n, k)[1] == t
+            total = math.comb(n, k)
+            subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+                                  dtype=np.intp, count=total * k).reshape(total, k)
+            want = np.zeros((total, n), dtype=bool)
+            np.put_along_axis(want, subsets, True, axis=1)
+            assert (lex_unrank_masks(n, k, np.arange(total)) == want).all()
+        rows, start = grouptools._lex_tail(t)
+        assert rows.shape == (2**t, -(-t // 8)) and len(start) == t + 1
+        assert not rows.flags.writeable and not start.flags.writeable
 
     @pytest.mark.parametrize("n,k", [(16, 12), (34, 15), (70, 35)])
     def test_masks_sampled(self, n, k):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from legendre_pairs.decompress import SearchConfig, orbit_search
 from legendre_pairs.refdata import ell85, ell87
 from legendre_pairs.seqcore import (
     SequenceError,
@@ -22,6 +23,7 @@ from legendre_pairs.seqcore import (
     psd_at_m_exact,
     psd_vector,
     verify_legendre_pair,
+    verify_pairs,
 )
 
 
@@ -313,6 +315,71 @@ class TestVerify:
         ea, eb = rep.psd_at_m
         assert ea.x == -eb.x
         assert rep.n1_n2[0] + rep.n1_n2[1] == 2 * 85 + 2
+
+
+def random_side(ell, rnd):
+    """A random ±1 sequence of sum +1 or -1."""
+    side = [1] * (ell // 2 + 1) + [-1] * (ell // 2)
+    rnd.shuffle(side)
+    return tuple(side) if rnd.random() < 0.5 else tuple(-v for v in side)
+
+
+class TestVerifyPairs:
+    """verify_pairs, the batched check of engine output, against
+    verify_legendre_pair pair by pair: failing shifts and x values."""
+
+    @pytest.mark.parametrize("ell, gens, k1, k2, kw", [
+        (15, (1,), 7, 0, dict(exhaustive=True, budget_nodes=10**6)),
+        (21, (1,), 10, 0, dict(exhaustive=True, budget_nodes=20_000)),
+        (25, (1,), 12, 0, dict(exhaustive=True, max_solutions=40, budget_nodes=10**6)),
+        (45, (19,), 4, 9, dict(seed=1, max_solutions=1, budget_nodes=400_000)),
+    ])
+    def test_matches_verify_legendre_pair(self, ell, gens, k1, k2, kw):
+        cfg = SearchConfig(strategy="orbit_restricted", subgroup_generators=gens,
+                           ones_orbits=k1, twos_orbits=k2, **kw)
+        found = orbit_search(ell, cfg).pairs[:300]
+        assert found
+        # negated sides, which verify_legendre_pair normalizes to sum +1
+        pairs = [((a, b), (tuple(-v for v in a), b), (a, tuple(-v for v in b)))[i % 3]
+                 for i, (a, b) in enumerate(found)]
+        # one corrupted pair: a +1 and a -1 of A swapped keep its sum
+        a = list(found[0][0])
+        i, j = a.index(1), a.index(-1)
+        a[i], a[j] = -1, 1
+        corrupt = len(pairs) // 2
+        pairs.insert(corrupt, (tuple(a), found[0][1]))
+        rnd = random.Random(ell)
+        pairs += [(random_side(ell, rnd), random_side(ell, rnd)) for _ in range(50)]
+        failing, xs = verify_pairs(pairs)
+        reports = [verify_legendre_pair(a, b) for a, b in pairs]
+        assert failing.tolist() == [rep.failing_shift or 0 for rep in reports]
+        assert xs == [rep.x_value for rep in reports]
+        assert failing[corrupt] and not failing[:corrupt].any()
+        assert (xs[0] is None) == (ell % 5 != 0)
+
+    def test_refuses_what_normalize_refuses(self):
+        a = (1, -1, -1, 1, -1, 1, 1)
+        failing, xs = verify_pairs([])
+        assert failing.size == 0 and xs == []
+        for bad, match in (((1, 2, -1, 1, -1, 1, -1), "entries must be"),
+                           ((1, 1, 1, 1, 1, -1, -1), "entry sum must be")):
+            with pytest.raises(SequenceError, match=match):
+                verify_pairs([(a, a), (a, bad)])
+        with pytest.raises(SequenceError, match="length must be odd"):
+            verify_pairs([((1, -1, 1, -1), (1, 1, -1, -1))])
+
+    def test_indices_run_across_passes(self):
+        """Pairs are checked 4,096 at a time; failures and refusals in a
+        later pass are still found at their own index."""
+        qr = (1, -1, -1, 1, -1, 1, 1)  # -1 on the squares mod 7: PAF -1
+        pairs = [(qr, qr)] * 4100
+        pairs[4097] = ((1, 1, 1, 1, -1, -1, -1),) * 2
+        failing, xs = verify_pairs(pairs)
+        assert failing.nonzero()[0].tolist() == [4097] and failing[4097] == 1
+        assert xs == [None] * 4100
+        pairs[4098] = (qr, (1, 2, -1, 1, -1, 1, -1))
+        with pytest.raises(SequenceError, match="entries must be"):
+            verify_pairs(pairs)
 
 
 class TestTextFormat:
