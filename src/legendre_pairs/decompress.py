@@ -19,12 +19,12 @@ import numpy as np
 
 from .candgen import CandidatePair
 from .grouptools import LexRankCode, OrbitTable, lex_unrank_masks, orbits
-from .seqcore import paf, paf_rows, psd_vector
+from .seqcore import paf_rows
 
 # No search calls these any more; the benchmark's tracer (bench/tracing.py)
 # rebinds them by name in this module, so they stay importable from it.
 from .grouptools import block_from_codes, sequence_from_block  # noqa: F401
-from .seqcore import compress, paf_vector, verify_legendre_pair  # noqa: F401
+from .seqcore import compress, paf, paf_vector, psd_vector, verify_legendre_pair  # noqa: F401
 
 PSD_CEILING_TOL = 1e-6
 
@@ -135,6 +135,19 @@ def _score_block(options: np.ndarray, order: np.ndarray, rows: np.ndarray, part:
     return s, o, z[order[o], s].astype(np.int32) - 2 - part[s, 1 - side]
 
 
+def _psd_max(rows: np.ndarray, s: np.ndarray, o: np.ndarray, order: np.ndarray,
+             dft: np.ndarray, opt_dft: np.ndarray) -> np.ndarray:
+    """Max PSD over k != 0 of rows[s] (the A side, 0 in its last class)
+    completed by options order[o]: ``(rows @ dft)[s] + opt_dft[order[o]]``
+    is their DFT, as the DFT is linear.  |Re|, |Im| <= ℓ and the angles are
+    reduced, so the error is at most 8ℓ³·2**-53, below PSD_CEILING_TOL."""
+    z = (rows @ dft)[s] + opt_dft[order[o]]
+    h = z.shape[1] // 2
+    np.square(z, out=z)
+    z[:, :h] += z[:, h:]
+    return z[:, :h].max(1)
+
+
 def _tail_start(widths: Sequence[int]) -> int:
     """First depth of the batched tail for these option widths per depth:
     the shallowest whose remaining widths multiply to at most TAIL_OPTIONS,
@@ -156,10 +169,12 @@ class _Plan(NamedTuple):
     own: np.ndarray  # _score_block's selector of the shifts d, 2d, ...
     slack: np.ndarray  # the joint bound's limit per depth and shift
     options: Tuple[np.ndarray, ...]  # each depth's _options, in lex order
+    dft: np.ndarray  # [cos | sin] of 2π(i·k mod ℓ)/ℓ, k = 1..ℓ//2, per entry i
+    opt_dft: np.ndarray  # the A side's last options @ dft[their class]
 
 
 def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
-    """The search plan of candidate (a, b) at length ℓ."""
+    """The search plan of candidate (a, b) at odd length ℓ."""
     d = len(a)
     if len(b) != d or d == 0 or ell % d != 0:
         raise SearchConfigError(f"candidate shape {d} does not divide ℓ={ell}")
@@ -176,26 +191,9 @@ def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
     shifts = np.arange(1, nshifts + 1)
     plus = (classes[:, :, None] + shifts) % ell
     minus = (classes[:, :, None] - shifts) % ell
-    # at a half-period shift (even ℓ) i + s and i - s are one entry: gather
-    # the second term from the class's own entry, still 0 while it is scored
-    minus = np.where(minus == plus, classes[:, :, None], minus)
     laps = nshifts // d
     own = np.zeros((laps, nshifts))
     own[np.arange(laps), np.arange(d - 1, nshifts, d)] = 1
-
-    # Every product is ±1, so a PAF is ≡ ℓ (mod 2) and the joint bound's gap
-    # minus slack is always even.  Per shift class c = ±s mod d, the
-    # compression identity fixes each side's PAF summed over the class's
-    # tracked shifts (paf(row, c); halved net of PAF(0) = ℓ for c = 0), so it
-    # must be ≡ ℓ times their count: one parity test per candidate.  At even
-    # ℓ the half-period shift gets half weight and m = 2 always fails; no
-    # even-length pair exists (σ_A² + σ_B² would be 2).
-    shift_class = np.minimum(shifts % d, -shifts % d).tolist()
-    parity_ok = all(
-        ((paf(row, 0) - ell) // 2 if c == 0 else paf(row, c)) % 2 == ell * shift_class.count(c) % 2
-        for row in (a, b)
-        for c in set(shift_class)
-    )
 
     slack = np.zeros((len(steps), nshifts), dtype=np.int64)
     seen = np.zeros((2, ell), dtype=bool)
@@ -207,10 +205,14 @@ def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
         seen[side, classes[j]] = True
         unknown[side] -= done + seen[side, plus[j]].sum(0)
         slack[depth] = unknown.sum(0)  # the bound's limit per shift after this step
-    if not parity_ok:  # no option of any depth passes: prune all of depth 0
-        slack[0] = -1
     options = tuple(_options(m, negs[side][j], laps) for side, j in steps)
-    return _Plan(steps, classes, plus, minus, own, slack, options)
+
+    # PSD_k = PSD_(ℓ-k) for a real row, so k = 1..ℓ//2 covers every k != 0
+    angle = 2 * np.pi / ell * (np.arange(ell)[:, None] * shifts % ell)
+    dft = np.concatenate((np.cos(angle), np.sin(angle)), 1)
+    opt_dft = options[-2][:, :m] @ dft[classes[steps[-2][1]]]
+    dft.flags.writeable = opt_dft.flags.writeable = False
+    return _Plan(steps, classes, plus, minus, own, slack, options, dft, opt_dft)
 
 
 def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> SearchResult:
@@ -219,10 +221,12 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     Entries are assigned a whole residue class at a time, sides interleaved
     within a class; each class j of a side has exactly (m - row_j)/2 entries
     equal to -1, so every completion compresses to the candidate.  Pruning:
-    the joint PAF interval bound per shift, a parity test per candidate, plus
-    an optional PSD ceiling on the completed A side.  A leaf has no unknown
-    product left, so there the joint bound is PAF_A(s) + PAF_B(s) = -2 on
-    shifts 1..ℓ//2: every leaf reached is a pair and is emitted as it is.
+    the joint PAF interval bound per shift, plus an optional PSD ceiling on
+    the completed A side (_psd_max: a float64 DFT product on the rows'
+    linear parts, no FFT).  A leaf has no unknown product left, so there the
+    joint bound is PAF_A(s) + PAF_B(s) = -2 on shifts 1..ℓ//2: every leaf
+    reached is a pair and is emitted as it is.  Even ℓ, which has no pair,
+    is refused.
 
     The option matrices stay in lex order, shared by every search; a search
     keeps only its seeded option order, as lex indices per depth.  Every
@@ -243,7 +247,9 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     cfg.validate()
     if cfg.strategy != "backtrack":
         raise SearchConfigError("uncompress_search requires strategy='backtrack'")
-    steps, classes, plus, minus, own, slack, options = _plan(ell, cand.a, cand.b)
+    if ell % 2 == 0:
+        raise SearchConfigError(f"no Legendre pair has even length, got ℓ={ell}")
+    steps, classes, plus, minus, own, slack, options, dft, opt_dft = _plan(ell, cand.a, cand.b)
     m, nshifts = plus.shape[1:]
 
     rng = random.Random(cfg.seed)
@@ -277,9 +283,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             s, o, new = _score_block(options[depth], order, rows[:, side], part[lo:lo + chunk],
                                      side, plus[j], minus[j], own, slack[depth])
             if cfg.psd_prune and depth == a_last_step and len(s):
-                full = rows[s, 0]
-                full[:, classes[j]] = chosen(depth, o)
-                keep = psd_vector(full)[:, 1:].max(1) <= psd_limit
+                keep = _psd_max(rows[:, 0], s, o, order, dft, opt_dft) <= psd_limit
                 s, o, new = s[keep], o[keep], new[keep]
             found.append((s + lo, o, new))
         return (np.concatenate(x) for x in zip(*found))

@@ -99,6 +99,22 @@ class TestUncompressSearch:
         with pytest.raises(SearchConfigError, match="unreachable"):
             uncompress_search(15, toobig, SearchConfig())
 
+    @pytest.mark.parametrize(
+        "ell,a,b",
+        [
+            (10, (0, 2, 2, -2, -2), (0, 2, -2, 0, 2)),
+            (10, (0, 0, 0, 0, 0), (2, 0, 0, 0, -2)),
+            (12, (0, -2, 2), (2, -2, 2)),
+            (14, (0,) * 7, (0,) * 7),
+        ],
+    )
+    def test_even_ell_rejected(self, ell, a, b):
+        """No Legendre pair has even length: the search refuses before it
+        visits a node (at ℓ=12 it used to walk 5,716 nodes for none)."""
+        cand = CandidatePair(a=a, b=b, ell=ell, m=ell // len(a))
+        with pytest.raises(SearchConfigError, match="even length"):
+            uncompress_search(ell, cand, SearchConfig(seed=0))
+
     def test_budget_monotonicity(self):
         cand = candidates_d5(3)[1]
         small = uncompress_search(15, cand, SearchConfig(seed=9, budget_nodes=1500))
@@ -166,25 +182,6 @@ class TestPinnedResults:
         assert len(res.pairs) == count
         assert pairs_sha256(res.pairs) == digest
         assert_pairs_of(cand, res.pairs)
-
-    @pytest.mark.parametrize(
-        "ell,a,b,budget,nodes,exhausted",
-        [
-            (10, (0, 2, 2, -2, -2), (0, 2, -2, 0, 2), 10**6, 1, True),
-            (10, (0, 0, 0, 0, 0), (2, 0, 0, 0, -2), 10**6, 2, True),
-            (10, (0, 0, 0, 0, 0), (2, 0, 0, 0, -2), 1, 1, False),
-            (14, (0,) * 7, (0,) * 7, 10**6, 2, True),
-            (14, (0,) * 7, (0,) * 7, 1, 1, False),
-        ],
-    )
-    def test_m2_parity_infeasible(self, ell, a, b, budget, nodes, exhausted):
-        """With m = 2 no option of the first depth passes the class parity
-        bound: the search counts them as nodes and ends."""
-        cand = CandidatePair(a=a, b=b, ell=ell, m=2)
-        res = uncompress_search(ell, cand, SearchConfig(seed=1, budget_nodes=budget))
-        assert res.pairs == []
-        assert res.nodes_visited == nodes
-        assert res.exhausted == exhausted
 
     def test_l25_budget_cut(self):
         found = "4d95505f4788bd34c2fed6b96e55a7420d122656f4254195ef7299ddcd27e5ab"
@@ -339,8 +336,8 @@ class TestBatchedTail:
         ],
     )
     def test_m2_pins_are_one_tail(self, ell, a, b):
-        """The m=2 parity pins (TestPinnedResults) score their whole tree as
-        one tail rooted at depth 0."""
+        """A tree of m=2 options (at most 2 per depth) is scored as one tail
+        rooted at depth 0."""
         widths = [math.comb(2, (2 - v) // 2) for v in a + b]
         assert decompress._tail_start(widths) == 0
 
@@ -414,6 +411,53 @@ class TestScoreBlock:
         np.testing.assert_array_equal(new, ref[ref_s, order[ref_o]])
         if limit == "loose":
             assert len(s) == states * len(options)
+
+
+class TestDftCeiling:
+    """The DFS PSD ceiling (_psd_max: a float64 DFT product on the A rows'
+    linear parts) against psd_vector on the completed A rows: the maximum
+    over k != 0 within 1e-9 and the same keep mask."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ell=st.sampled_from([15, 25, 35, 45]),
+        ci=st.integers(0, 10**6),
+        states=st.sampled_from([1, 24]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_fft(self, ell, ci, states, seed):
+        cands = cached_candidates(ell // 5)
+        cand = cands[ci % len(cands)]
+        plan = decompress._plan(ell, cand.a, cand.b)
+        assert not plan.dft.flags.writeable and not plan.opt_dft.flags.writeable
+        h = ell // 2
+        # entry (i, k) is cos or sin of 2π(i·k mod ℓ)/ℓ, so exactly entry
+        # (i·k mod ℓ, 1): every angle is reduced before cos and sin
+        ik = np.arange(ell)[:, None] * np.arange(1, h + 1) % ell
+        cos1, sin1 = plan.dft[:, 0], plan.dft[:, h]
+        np.testing.assert_array_equal(plan.dft, np.concatenate((cos1[ik], sin1[ik]), 1))
+        m = plan.plus.shape[1]
+        depth = len(plan.steps) - 2  # the A side's last step, as in the search
+        side, j = plan.steps[depth]
+        assert side == 0 and all(sd == 1 or jj != j for sd, jj in plan.steps[:depth])
+        # A rows with random options in every earlier class, 0 in class j
+        rng = np.random.default_rng(seed)
+        rows = np.zeros((states, ell), dtype=np.int8)
+        for (sd, jj), options in zip(plan.steps[:depth], plan.options):
+            if sd == 0:
+                rows[:, plan.classes[jj]] = options[rng.integers(len(options), size=states), :m]
+        options = plan.options[depth]
+        order = rng.permutation(len(options))  # a search's option order
+        s, o = (x.ravel() for x in np.indices((states, len(options))))
+
+        got = decompress._psd_max(rows, s, o, order, plan.dft, plan.opt_dft)
+
+        full = rows[s].astype(np.int64)
+        full[:, plan.classes[j]] = options[order[o], :m]
+        ref = psd_vector(full)[:, 1:].max(1)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+        limit = 2 * ell + 2 + decompress.PSD_CEILING_TOL
+        np.testing.assert_array_equal(got <= limit, ref <= limit)
 
 
 def oracle_block_pairs(ell):

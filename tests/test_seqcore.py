@@ -387,6 +387,17 @@ class TestTextFormat:
         seq = (1, -1, 1, 1, -1)
         assert parse_sequence(format_sequence(seq)) == seq
 
+    def test_format_is_str_of_int(self):
+        """The same text for Python ints, numpy int8/int64 rows and
+        compressed rows, whose entries need not be ±1."""
+        rng = np.random.default_rng(5)
+        pm = tuple(rng.choice((-1, 1), 25).tolist())
+        compressed = compress(pm, 5)
+        for seq in (pm, list(pm), np.array(pm, dtype=np.int8), np.array(pm, dtype=np.int64),
+                    compressed, np.array(compressed), (-5, 3, 1, -1, 0, 7, -1), (), (True, 1.0)):
+            assert format_sequence(seq) == ",".join(str(int(v)) for v in seq)
+        assert format_sequence((-5, 3, 1, -1, 0)) == "-5,3,1,-1,0"
+
     def test_header(self):
         assert parse_sequence("ℓ=3;1,1,-1") == (1, 1, -1)
         with pytest.raises(SequenceError):
