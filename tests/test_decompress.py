@@ -183,6 +183,36 @@ class TestPinnedResults:
         assert pairs_sha256(res.pairs) == digest
         assert_pairs_of(cand, res.pairs)
 
+    @pytest.mark.parametrize(
+        "ell,a,b,budget,nodes,exhausted",
+        [
+            (10, (0, 2, 2, -2, -2), (0, 2, -2, 0, 2), 10**6, 1, True),
+            (10, (0, 0, 0, 0, 0), (2, 0, 0, 0, -2), 10**6, 2, True),
+            (10, (0, 0, 0, 0, 0), (2, 0, 0, 0, -2), 1, 1, False),
+            (14, (0,) * 7, (0,) * 7, 10**6, 2, True),
+            (14, (0,) * 7, (0,) * 7, 1, 1, False),
+        ],
+    )
+    def test_m2_parity_infeasible(self, ell, a, b, budget, nodes, exhausted):
+        """With m = 2 at even ℓ no option of the first depth passes the class
+        parity bound, so the old walk counted them as nodes and ended with no
+        pair.  The search now refuses even ℓ before that walk, at any budget."""
+        cand = CandidatePair(a=a, b=b, ell=ell, m=2)
+        with pytest.raises(SearchConfigError, match="even length"):
+            uncompress_search(ell, cand, SearchConfig(seed=1, budget_nodes=budget))
+        # the refused walk: the depth-0 options, cut at the budget
+        first = len(decompress._plan(ell, a, b).options[0])
+        assert (min(first, budget), budget >= first) == (nodes, exhausted)
+        # the parity bound that pruned them: per shift class c = ±s mod d, a
+        # side's PAF summed over the class's shifts must be ≡ ℓ·count (mod 2)
+        d = len(a)
+        shift_class = [min(s % d, -s % d) for s in range(1, ell // 2 + 1)]
+        assert not all(
+            ((paf(row, 0) - ell) // 2 if c == 0 else paf(row, c)) % 2 == ell * shift_class.count(c) % 2
+            for row in (a, b)
+            for c in set(shift_class)
+        )
+
     def test_l25_budget_cut(self):
         found = "4d95505f4788bd34c2fed6b96e55a7420d122656f4254195ef7299ddcd27e5ab"
         empty = hashlib.sha256().hexdigest()
