@@ -286,7 +286,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
                 keep = _psd_max(rows[:, 0], s, o, order, dft, opt_dft) <= psd_limit
                 s, o, new = s[keep], o[keep], new[keep]
             found.append((s + lo, o, new))
-        return (np.concatenate(x) for x in zip(*found))
+        return found[0] if len(found) == 1 else [np.concatenate(x) for x in zip(*found)]
 
     def leaf_ranks(levels) -> np.ndarray:
         """Preorder rank of each leaf of a subtree, its root ranked 0."""
@@ -399,6 +399,25 @@ def _selection_hash(seed: int, index: int, space1: int, space2: int) -> Tuple[in
 CHUNK = 512
 
 
+def _reduce(words: np.ndarray, total: int) -> np.ndarray:
+    """(hi · 2**64 + lo) mod total, as int64, for rows [hi, lo] of uint64
+    words and 0 < total < 2**63, exactly: hi mod total, then lo folded in
+    by Horner in limbs of at most 64 - bitlen(total - 1) bits, so that
+    every value stays below 2**64."""
+    hi, lo = words.T.astype(np.uint64)
+    t = np.uint64(total)
+    width = min(64 - (total - 1).bit_length(), 63)
+    r = hi % t
+    pos = 64
+    while pos:
+        step = min(width, pos)
+        pos -= step
+        r <<= np.uint64(step)
+        r |= lo >> np.uint64(pos) & np.uint64((1 << step) - 1)
+        r %= t
+    return r.view(np.int64)
+
+
 def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
     """Every selection at most once, in search order, as non-empty arrays of
     keys rank2 · space1 + rank1 (0 <= rank1 < space1): the hints, then the
@@ -408,6 +427,7 @@ def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
     not fit.  Every hint is checked before the first selection.  A sampled
     key is _selection_hash's pair as one int: for v the hash value,
     v mod space1·space2 = (v // space1 mod space2) · space1 + v mod space1.
+    Sampling draws no index past the budget.
     """
     k1, k2 = cfg.ones_orbits, cfg.twos_orbits
     space1, space2 = math.comb(n1, k1), math.comb(n2, k2)
@@ -436,19 +456,26 @@ def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
         return
     # a selection is seen as its key, one int; the first draw of a key wins
     seen: Set[int] = set(hints.tolist())
-    prefix = hashlib.blake2b(f"{cfg.seed}:".encode(), digest_size=16)
-    index = 0
-    while len(seen) < total:
-        keys = []
-        for i in range(index, index + CHUNK):
-            h = prefix.copy()
+    copy = hashlib.blake2b(f"{cfg.seed}:".encode(), digest_size=16).copy
+    index, limit = 0, min(total, cfg.budget_nodes)
+    while len(seen) < limit:
+        digests = []
+        append = digests.append
+        for i in range(index, index + min(CHUNK, limit - len(seen))):
+            h = copy()
             h.update(b"%d" % i)
-            keys.append(int.from_bytes(h.digest(), "big") % total)
-        index += CHUNK
-        new = [key for key in dict.fromkeys(keys) if key not in seen]
+            append(h.digest())
+        index += len(digests)
+        if dtype is object:
+            keys = new = [int.from_bytes(d, "big") % total for d in digests]
+        else:
+            keys = _reduce(np.frombuffer(b"".join(digests), ">u8").reshape(-1, 2), total)
+            new = keys.tolist()
+        if not seen.isdisjoint(new) or len(set(new)) < len(new):
+            keys = new = [key for key in dict.fromkeys(new) if key not in seen]
         if new:
             seen.update(new)
-            yield np.array(new, dtype=dtype)
+            yield np.asarray(keys, dtype=dtype)
 
 
 def _orbit_columns(ell: int, table: OrbitTable, p2: bool, psd: bool) -> Tuple[np.ndarray, np.ndarray]:

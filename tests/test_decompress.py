@@ -622,6 +622,7 @@ class TestOrbitSearch:
         (55, (34,), 3, 12, 2_000),
         (71, (1,), 35, 0, 600),  # C(70, 35) > 2**63: object keys
         (15, (1,), 7, 0, None),  # sampled to exhaustion
+        (65, (1,), 32, 0, 2_000),  # C(64, 32) < 2**63 in 3-bit limbs
     ])
     def test_sampled_keys_match_reference(self, seed, ell, gens, k1, k2, count):
         """The chunked sampler emits _selection_hash's selections, per index,
@@ -649,6 +650,37 @@ class TestOrbitSearch:
         if count is None:
             assert sorted(got) == list(range(space1 * space2))
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sampled_keys_after_overlapping_hints(self, seed):
+        """Hints equal to the keys drawn at indices 5, 1100 and 1101 and one
+        never drawn come first; the sampled chunks of indices 0-511 and
+        1024-1535 then drop them (the ordered filter), the others keep all
+        512 keys (the fast path), and the rest is _selection_hash's
+        sequence."""
+        space1, space2 = math.comb(16, 12), math.comb(34, 15)
+        drawn = [decompress._selection_hash(seed, i, space1, space2) for i in range(2048)]
+        keys = [rank2 * space1 + rank1 for rank1, rank2 in drawn]
+        hints = (drawn[5], drawn[1100], drawn[1101], (0, 0))
+        cfg = self.l85_cfg(seed=seed, budget_nodes=10**9, hint_codes=hints)
+        chunks = [c.tolist() for c in itertools.islice(decompress._selections(cfg, 16, 34), 5)]
+        assert chunks[0] == [keys[5], keys[1100], keys[1101], 0]
+        assert [len(c) for c in chunks[1:]] == [511, 512, 510, 512]
+        assert sum(chunks[1:], []) == [k for k in keys if k not in chunks[0]]
+
+    def test_budget_draws_no_key_past_it(self, monkeypatch):
+        """A 30-selection sampled search draws 30 keys, not a whole chunk."""
+        drawn = []
+        selections = decompress._selections
+
+        def counting(*args):
+            for keys in selections(*args):
+                drawn.append(len(keys))
+                yield keys
+
+        monkeypatch.setattr(decompress, "_selections", counting)
+        res = orbit_search(85, self.l85_cfg(seed=3, budget_nodes=30))
+        assert res.nodes_visited == sum(drawn) == 30
+
     def test_budget_on_a_chunk_boundary_draws_no_further(self, monkeypatch):
         """Exhaustion follows from the node count: a sampled search whose
         budget ends on a chunk boundary draws only the keys it searches."""
@@ -670,6 +702,28 @@ class TestOrbitSearch:
         cfg2 = self.l85_cfg(budget_nodes=30)
         r1, r2 = orbit_search(85, cfg1), orbit_search(85, cfg2)
         assert r1.pairs == r2.pairs and r1.nodes_visited == r2.nodes_visited
+
+
+class TestReduce:
+    """_reduce, the sampler's exact uint64 reduction of a 128-bit hash value,
+    against Python's int % total."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        total=st.sampled_from([
+            1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, math.comb(16, 12) * math.comb(34, 15),
+            2**62 + 12345, 2**63 - 25,
+        ]),
+        words=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                       max_size=40),
+    )
+    def test_matches_int_mod(self, total, words):
+        words += [(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)]
+        # as the sampler reads its digests: big-endian 8-byte words
+        raw = b"".join(hi.to_bytes(8, "big") + lo.to_bytes(8, "big") for hi, lo in words)
+        got = decompress._reduce(np.frombuffer(raw, ">u8").reshape(-1, 2), total)
+        assert got.dtype == np.int64
+        assert got.tolist() == [(hi << 64 | lo) % total for hi, lo in words]
 
 
 class TestOrbitFilter:
