@@ -195,16 +195,14 @@ def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
     own = np.zeros((laps, nshifts))
     own[np.arange(laps), np.arange(d - 1, nshifts, d)] = 1
 
-    slack = np.zeros((len(steps), nshifts), dtype=np.int64)
-    seen = np.zeros((2, ell), dtype=bool)
-    unknown = np.full((2, nshifts), ell, dtype=np.int32)
-    for depth, (side, j) in enumerate(steps):
-        # products fixed by this step: partners already assigned at i - s
-        # (outside the class), and at i + s once the class itself is assigned
-        done = seen[side, minus[j]].sum(0)
-        seen[side, classes[j]] = True
-        unknown[side] -= done + seen[side, plus[j]].sum(0)
-        slack[depth] = unknown.sum(0)  # the bound's limit per shift after this step
+    # product a_i·a_(i+s) of a side is known from the later of the steps that
+    # assign i and i + s; the bound's limit after a step is the count unknown
+    at = np.empty((2, ell), dtype=np.intp)
+    sides, js = zip(*steps)
+    at[np.array(sides)[:, None], classes[list(js)]] = np.arange(len(steps))[:, None]
+    known = np.maximum(at[:, :, None], at[:, (np.arange(ell)[:, None] + shifts) % ell])
+    fixed = np.bincount((known * nshifts + shifts - 1).ravel(), minlength=len(steps) * nshifts)
+    slack = 2 * ell - fixed.reshape(len(steps), nshifts).cumsum(0, dtype=np.int64)
     options = tuple(_options(m, negs[side][j], laps) for side, j in steps)
 
     # PSD_k = PSD_(ℓ-k) for a real row, so k = 1..ℓ//2 covers every k != 0
@@ -213,6 +211,24 @@ def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
     opt_dft = options[-2][:, :m] @ dft[classes[steps[-2][1]]]
     dft.flags.writeable = opt_dft.flags.writeable = False
     return _Plan(steps, classes, plus, minus, own, slack, options, dft, opt_dft)
+
+
+def _score_state(plan: _Plan, depth: int, order: np.ndarray, state: np.ndarray,
+                 part: np.ndarray, psd_limit) -> Tuple[np.ndarray, np.ndarray]:
+    """The walk's step: _score_block's exact product for one state (2 × ℓ
+    rows, ``part`` their partial PAFs) as 2-D arrays, then _psd_max at the A
+    side's last step unless ``psd_limit`` is falsy.  Return the survivors'
+    positions in ``order`` and their scored side's new partial PAFs."""
+    side, j = plan.steps[depth]
+    row = state[side]
+    gain = row[plan.plus[j]] + row[plan.minus[j]]
+    z = plan.options[depth] @ np.concatenate((gain, plan.own, (part[0] + part[1] + 2)[None]))
+    live = (np.abs(z) <= plan.slack[depth]).all(1)[order].nonzero()[0]
+    if psd_limit and depth == len(plan.steps) - 2 and live.size:
+        live = live[_psd_max(state[None, 0], 0, live, order, plan.dft, plan.opt_dft) <= psd_limit]
+    new = z.take(order[live], 0).astype(np.int32)
+    new -= 2 + part[1 - side]
+    return live, new
 
 
 def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> SearchResult:
@@ -230,15 +246,15 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
 
     The option matrices stay in lex order, shared by every search; a search
     keeps only its seeded option order, as lex indices per depth.  Every
-    option of a depth is scored at once against a block of states by
-    _score_block, an exact float64 GEMM: the PAF gain of option v in class j
-    is ``v @ C_j`` plus a term of v alone at shifts ≡ 0 (mod d), with
-    ``C_j[t, s] = row[i_t + s] + row[i_t - s]``; the unknown products depend
-    on the depth only.  The walk does this for one state per depth down to
-    the tail's first depth (_tail_start); below it, one call scores the whole
-    subtree a level at a time, every surviving state of a level against every
-    option of the next, and keeps survivors in (state, option) order, which
-    is preorder.  Each option counts as one node, in the seeded order, so
+    option of a depth is scored at once by an exact float64 product: the PAF
+    gain of option v in class j is ``v @ C_j`` plus a term of v alone at
+    shifts ≡ 0 (mod d), with ``C_j[t, s] = row[i_t + s] + row[i_t - s]``;
+    the unknown products depend on the depth only.  The walk scores its one
+    state per depth so (_score_state) down to the tail's first depth
+    (_tail_start); below it, one call scores the whole subtree a level at a
+    time, every surviving state of a level against every option of the next
+    (_score_block), and keeps survivors in (state, option) order, which is
+    preorder.  Each option counts as one node, in the seeded order, so
     budgets cut the same tree prefix: a subtree counts its widths times its
     live states, and when the budget or max_solutions cuts inside it, a
     leaf's preorder rank is its parent's rank, plus its option index and 1,
@@ -249,7 +265,8 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         raise SearchConfigError("uncompress_search requires strategy='backtrack'")
     if ell % 2 == 0:
         raise SearchConfigError(f"no Legendre pair has even length, got ℓ={ell}")
-    steps, classes, plus, minus, own, slack, options, dft, opt_dft = _plan(ell, cand.a, cand.b)
+    plan = _plan(ell, cand.a, cand.b)
+    steps, classes, plus, minus, own, slack, options, dft, opt_dft = plan
     m, nshifts = plus.shape[1:]
 
     rng = random.Random(cfg.seed)
@@ -307,7 +324,8 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     def enter(depth: int, part: np.ndarray) -> list:
         """The walk frame [depth, surviving option indices, their partial
         PAFs, the partial PAFs at entry, survivors walked, options walked]."""
-        _, live, new = level(depth, rows, part[None])
+        live, new = _score_state(plan, depth, orders[depth], rows[0], part,
+                                 cfg.psd_prune and psd_limit)
         return [depth, live.tolist(), new, part, 0, 0]
 
     def emit_tail(part: np.ndarray) -> Tuple[int, bool]:

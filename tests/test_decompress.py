@@ -377,6 +377,31 @@ class TestBatchedTail:
         assert decompress._tail_start([200, 2, 5, 10]) == 1
         assert decompress._tail_start([1, 1, 1]) == 0
 
+    @pytest.mark.parametrize(
+        "ci,seed,budget,max_solutions,psd_prune",
+        [
+            (0, 155, 50_000, 1, True),  # its first pair is the leaf at node 745
+            (0, 155, 50_000, 0, True),
+            (0, 155, 745, 0, True),
+            (0, 155, 744, 1, True),
+            (0, 155, 50_000, 1, False),  # at node 5,295 with no PSD ceiling
+            (0, 155, 5_294, 0, False),
+            (1, 2, 37_777, 0, True),
+        ],
+    )
+    def test_matches_walk_below_a_mid_tree_tail(self, ci, seed, budget, max_solutions, psd_prune):
+        """At ℓ=35 the search walks 7 depths and batches the last 3, so the
+        walk's step and the tail meet mid-tree; walk_search walks all 10."""
+        cand = cached_candidates(7)[ci]
+        plan = decompress._plan(35, cand.a, cand.b)
+        assert decompress._tail_start([len(x) for x in plan.options]) == 7
+        cfg = SearchConfig(seed=seed, budget_nodes=budget, max_solutions=max_solutions,
+                           psd_prune=psd_prune)
+        tail, walk = uncompress_search(35, cand, cfg), walk_search(35, cand, cfg)
+        assert tail.pairs == walk.pairs
+        assert tail.nodes_visited == walk.nodes_visited
+        assert tail.exhausted == walk.exhausted
+
     def test_option_matrices_are_shared_read_only(self):
         options = decompress._options(5, 2, 2)
         assert decompress._options(5, 2, 2) is options
@@ -443,6 +468,85 @@ class TestScoreBlock:
             assert len(s) == states * len(options)
 
 
+class TestScoreState:
+    """The walk's step (_score_state) against _score_block with one state
+    followed, at the A side's last step, by _psd_max: the same survivor
+    positions in the seeded order and the same int32 partial PAFs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ell=st.sampled_from([15, 25, 35, 45]),
+        ci=st.integers(0, 10**6),
+        frac=st.floats(0, 1),
+        a_last=st.booleans(),
+        limit=st.sampled_from(["plan", "median", "loose"]),
+        psd_prune=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_score_block(self, ell, ci, frac, a_last, limit, psd_prune, seed):
+        cands = cached_candidates(ell // 5)
+        cand = cands[ci % len(cands)]
+        plan = decompress._plan(ell, cand.a, cand.b)
+        m, nshifts = plan.plus.shape[1:]
+        a_last_step = len(plan.steps) - 2
+        depth = a_last_step if a_last else min(int(frac * len(plan.steps)), len(plan.steps) - 1)
+        # a reachable state: random options assigned to every earlier depth
+        rng = np.random.default_rng(seed)
+        state = np.zeros((2, ell), dtype=np.int8)
+        for (side, j), options in zip(plan.steps[:depth], plan.options):
+            state[side, plan.classes[j]] = options[rng.integers(len(options)), :m]
+        part = np.stack([partial_paf(state[0], nshifts), partial_paf(state[1], nshifts)])
+        part = part.astype(np.int32)
+        side, j = plan.steps[depth]
+        options = plan.options[depth]
+        full = np.repeat(state[None, side].astype(np.int64), len(options), 0)
+        full[:, plan.classes[j]] = options[:, :m]
+        deficit = np.abs(-2 - partial_paf(full, nshifts) - part[1 - side])
+        # the plan's limit, or one that about half the options pass, or all
+        slack = {"plan": plan.slack[depth],
+                 "median": np.full(nshifts, np.median(deficit.max(1))),
+                 "loose": np.full(nshifts, 4 * ell)}[limit]
+        limits = plan.slack.copy()
+        limits[depth] = slack
+        plan = plan._replace(slack=limits)
+        order = rng.permutation(len(options))  # a search's option order
+        psd_limit = 2 * ell + 2 + decompress.PSD_CEILING_TOL
+
+        live, new = decompress._score_state(plan, depth, order, state, part,
+                                            psd_prune and psd_limit)
+
+        s, o, ref = decompress._score_block(options, order, state[None, side], part[None], side,
+                                            plan.plus[j], plan.minus[j], plan.own, limits[depth])
+        if psd_prune and depth == a_last_step and len(s):
+            keep = decompress._psd_max(state[None, 0], s, o, order, plan.dft,
+                                       plan.opt_dft) <= psd_limit
+            o, ref = o[keep], ref[keep]
+        np.testing.assert_array_equal(live, o)
+        assert np.all(np.diff(live) > 0)  # positions in the seeded order
+        assert new.dtype == np.int32
+        np.testing.assert_array_equal(new, ref)
+        if limit == "loose" and not (psd_prune and depth == a_last_step):
+            assert len(live) == len(options)
+
+    def test_psd_ceiling_prunes_at_the_a_side_last_step(self):
+        """With every option inside the joint bound, the step's PSD ceiling
+        alone decides at the A side's last step, and drops some options."""
+        cand = cached_candidates(5)[1]
+        plan = decompress._plan(25, cand.a, cand.b)
+        depth = len(plan.steps) - 2
+        plan = plan._replace(slack=np.full_like(plan.slack, 100))
+        m, nshifts = plan.plus.shape[1:]
+        state = np.zeros((2, 25), dtype=np.int8)
+        for (side, j), options in zip(plan.steps[:depth], plan.options):
+            state[side, plan.classes[j]] = options[0, :m]
+        part = np.stack([partial_paf(state[0], nshifts), partial_paf(state[1], nshifts)])
+        order = np.arange(len(plan.options[depth]))
+        args = plan, depth, order, state, part.astype(np.int32)
+        every, _ = decompress._score_state(*args, 0)
+        kept, _ = decompress._score_state(*args, 2 * 25 + 2 + decompress.PSD_CEILING_TOL)
+        assert len(every) == len(order) > len(kept)
+
+
 class TestDftCeiling:
     """The DFS PSD ceiling (_psd_max: a float64 DFT product on the A rows'
     linear parts) against psd_vector on the completed A rows: the maximum
@@ -488,6 +592,48 @@ class TestDftCeiling:
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
         limit = 2 * ell + 2 + decompress.PSD_CEILING_TOL
         np.testing.assert_array_equal(got <= limit, ref <= limit)
+
+
+def loop_slack(plan, ell):
+    """The joint bound's limit per depth and shift, counted a step at a
+    time: the reference for _plan's one vectorised pass."""
+    nshifts = plan.plus.shape[2]
+    slack = np.zeros((len(plan.steps), nshifts), dtype=np.int64)
+    seen = np.zeros((2, ell), dtype=bool)
+    unknown = np.full((2, nshifts), ell, dtype=np.int32)
+    for depth, (side, j) in enumerate(plan.steps):
+        # products fixed by this step: partners already assigned at i - s
+        # (outside the class), and at i + s once the class itself is assigned
+        done = seen[side, plan.minus[j]].sum(0)
+        seen[side, plan.classes[j]] = True
+        unknown[side] -= done + seen[side, plan.plus[j]].sum(0)
+        slack[depth] = unknown.sum(0)
+    return slack
+
+
+class TestPlanSlack:
+    """_plan's unknown-product limits equal the step-by-step count, dtype
+    included, for every d=5 candidate up to ℓ=45 and the even m=2 shapes."""
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
+    def test_matches_loop(self, m):
+        for cand in cached_candidates(m):
+            plan = decompress._plan(5 * m, cand.a, cand.b)
+            assert plan.slack.dtype == np.int64
+            np.testing.assert_array_equal(plan.slack, loop_slack(plan, 5 * m))
+
+    @pytest.mark.parametrize(
+        "ell,a,b",
+        [
+            (10, (0, 2, 2, -2, -2), (0, 2, -2, 0, 2)),
+            (10, (0, 0, 0, 0, 0), (2, 0, 0, 0, -2)),
+            (14, (0,) * 7, (0,) * 7),
+        ],
+    )
+    def test_matches_loop_m2(self, ell, a, b):
+        plan = decompress._plan(ell, a, b)
+        assert plan.slack.dtype == np.int64
+        np.testing.assert_array_equal(plan.slack, loop_slack(plan, ell))
 
 
 def oracle_block_pairs(ell):
