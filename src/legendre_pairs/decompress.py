@@ -85,9 +85,8 @@ def _negative_counts(row: Sequence[int], m: int) -> List[int]:
 # 126 × 126 options, were no faster and took more memory).  Results do not
 # depend on it.
 TAIL_OPTIONS = 65_536
-# Scores in one (options × states × shifts) block of a batched level; the PSD
-# ceiling runs per block too.  One PSD call per level raised the peak memory
-# of ℓ=25 first-pair searches from ≈36.5 to ≈39.6 MB.
+# Scores per (shifts × options × states) block of a batched level; 2**16 was
+# no faster beyond noise on ℓ=25 first-pair searches and took ≈0.9 MB more.
 TAIL_BLOCK = 2**14
 
 
@@ -95,7 +94,7 @@ TAIL_BLOCK = 2**14
 def _options(m: int, k: int, laps: int) -> np.ndarray:
     """Every ±1 vector v of length m with k entries -1, in lex order of the
     -1 positions, as the float64 row [v | v's cyclic PAF at offsets 1..laps
-    | 1]: the option side of _score_block's product.  Read-only: every
+    | 1]: the option side of _score_state's product.  Read-only: every
     search shares it."""
     combos = list(itertools.combinations(range(m), k))
     x = np.ones((len(combos), m + laps + 1))
@@ -107,45 +106,58 @@ def _options(m: int, k: int, laps: int) -> np.ndarray:
     return x
 
 
-def _score_block(options: np.ndarray, order: np.ndarray, rows: np.ndarray, part: np.ndarray,
-                 side: int, plus: np.ndarray, minus: np.ndarray, own: np.ndarray,
-                 slack: np.ndarray):
+@functools.lru_cache(maxsize=64)
+def _tail_options(ell: int, d: int, j: int, k: int) -> np.ndarray:
+    """Class j's _options(ℓ/d, k, ·) with the class's partners folded in:
+    row (s, o) weights [entries i | part_A + part_B at each shift | 1] into
+    option o's deficit z at shift s, the left factor of _score_block.  Entry
+    i weighs Σ v_t over the class members i_t = i ± s (|q| <= 2; the class
+    itself is 0 in every state scored), the shift's own part sum 1, and the
+    1 gets 2 plus v's PAF at offset s/d when d | s.  Read-only: every
+    search shares it."""
+    m, h = ell // d, ell // 2
+    x = _options(m, k, h // d)
+    cls, shifts = np.arange(j, ell, d), np.arange(1, h + 1)
+    q = np.zeros((h, len(x), ell + h + 1))
+    for sign in (1, -1):  # no index repeats within one sign
+        q[shifts - 1, :, (cls[:, None] + sign * shifts) % ell] += x[:, :m].T[:, None]
+    q[shifts - 1, :, ell + shifts - 1] = 1
+    q[:, :, -1] = 2
+    q[d - 1::d, :, -1] += x[:, m:-1].T
+    q = q.reshape(h * len(x), -1)
+    q.flags.writeable = False
+    return q
+
+
+def _score_block(q: np.ndarray, order: np.ndarray, rows: np.ndarray, part: np.ndarray,
+                 side: int, slack: np.ndarray):
     """Score every option of a class against every state of a block in one
-    float64 GEMM, ``options @ C``.
+    float64 GEMM, ``z = q @ x``.
 
-    ``options`` are _options rows, ``order`` the lex index of each option in
-    the search's order, ``rows`` the states' scored side (F × ℓ, 0 where
-    unassigned) and ``part`` their partial PAFs (F × 2 × ℓ//2);
-    ``plus``/``minus`` index the class's partners i ± s and ``own`` selects
-    the shifts d, 2d, ... that pair the class with itself.  Per state, C
-    stacks the partner sums row[i + s] + row[i - s], ``own`` and
-    part_side + part_other + 2, so the product is z = new + 2 + part_other,
-    the joint bound's deficit: an option survives when |z| <= slack at every
-    shift.  It is exact: every operand and every partial sum is an integer of
-    magnitude at most 3m + 2ℓ + 2, far below 2**53, in any summation order.
-    Return the survivors in (state, option) order as state indices, positions
-    in ``order`` and their scored side's new partial PAFs (int32)."""
-    m, n = plus.shape
-    c = np.empty((options.shape[1], len(rows), n))
-    c[:m] = (rows[:, plus] + rows[:, minus]).transpose(1, 0, 2)
-    c[m:-1] = own[:, None]
-    c[-1] = part[:, 0] + part[:, 1] + 2
-    z = (options @ c.reshape(len(c), -1)).reshape(len(options), len(rows), n)
-    s, o = np.nonzero((np.abs(z) <= slack).all(2)[order].T)
-    return s, o, z[order[o], s].astype(np.int32) - 2 - part[s, 1 - side]
+    ``q`` is the class's _tail_options, ``order`` the lex index of each
+    option in the search's order, ``rows`` the states' scored side (F × ℓ,
+    0 where unassigned) and ``part`` their partial PAFs (F × 2 × ℓ//2).
+    x stacks rows.T, part_A + part_B and 1, so z, shifts × options ×
+    states, is new + 2 + part_other, the joint bound's deficit: an option
+    survives when |z| <= slack at every shift.  It is exact: every operand
+    and every partial sum is an integer of magnitude at most 3m + 2ℓ + 2,
+    far below 2**53, in any summation order.  Return the survivors in
+    (state, option) order as state indices, positions in ``order`` and
+    their scored side's new partial PAFs (int32)."""
+    x = np.empty((q.shape[1], len(rows)))  # C order: an F-order x took a threaded BLAS path
+    np.concatenate((rows.T, (part[:, 0] + part[:, 1]).T, np.ones((1, len(rows)))), out=x)
+    z = (q @ x).reshape(len(slack), -1)
+    s, o = np.nonzero((np.abs(z) <= slack[:, None]).all(0).reshape(len(order), -1)[order].T)
+    return s, o, z.take(order[o] * len(rows) + s, 1).T.astype(np.int32) - 2 - part[s, 1 - side]
 
 
-def _psd_max(rows: np.ndarray, s: np.ndarray, o: np.ndarray, order: np.ndarray,
-             dft: np.ndarray, opt_dft: np.ndarray) -> np.ndarray:
-    """Max PSD over k != 0 of rows[s] (the A side, 0 in its last class)
-    completed by options order[o]: ``(rows @ dft)[s] + opt_dft[order[o]]``
-    is their DFT, as the DFT is linear.  |Re|, |Im| <= ℓ and the angles are
-    reduced, so the error is at most 8ℓ³·2**-53, below PSD_CEILING_TOL."""
-    z = (rows @ dft)[s] + opt_dft[order[o]]
-    h = z.shape[1] // 2
-    np.square(z, out=z)
-    z[:, :h] += z[:, h:]
-    return z[:, :h].max(1)
+def _psd_max(paf: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """Max PSD over k != 0 of the rows whose PAFs at shifts 1..ℓ//2 are
+    ``paf``, with ``cos`` the plan's ℓ//2 × ℓ//2 cos(2π·sk/ℓ): at odd ℓ,
+    PSD_k = ℓ + 2 Σ_s PAF(s)·cos(2π·sk/ℓ) and PSD_k = PSD_(ℓ-k), so k =
+    1..ℓ//2 covers every k != 0.  |PAF| <= ℓ and the angles are reduced,
+    so the error is at most 8ℓ³·2**-53, below PSD_CEILING_TOL."""
+    return 2 * (paf @ cos).max(1) + 2 * len(cos) + 1
 
 
 def _tail_start(widths: Sequence[int]) -> int:
@@ -166,11 +178,10 @@ class _Plan(NamedTuple):
     classes: np.ndarray  # classes[j] = (j, j + d, ...)
     plus: np.ndarray  # plus[j][t, s - 1] = classes[j][t] + s mod ℓ
     minus: np.ndarray  # likewise i - s
-    own: np.ndarray  # _score_block's selector of the shifts d, 2d, ...
+    own: np.ndarray  # _score_state's selector of the shifts d, 2d, ...
     slack: np.ndarray  # the joint bound's limit per depth and shift
     options: Tuple[np.ndarray, ...]  # each depth's _options, in lex order
-    dft: np.ndarray  # [cos | sin] of 2π(i·k mod ℓ)/ℓ, k = 1..ℓ//2, per entry i
-    opt_dft: np.ndarray  # the A side's last options @ dft[their class]
+    cos: np.ndarray  # cos 2π(s·k mod ℓ)/ℓ, s and k = 1..ℓ//2, for _psd_max
 
 
 def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
@@ -205,29 +216,27 @@ def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
     slack = 2 * ell - fixed.reshape(len(steps), nshifts).cumsum(0, dtype=np.int64)
     options = tuple(_options(m, negs[side][j], laps) for side, j in steps)
 
-    # PSD_k = PSD_(ℓ-k) for a real row, so k = 1..ℓ//2 covers every k != 0
-    angle = 2 * np.pi / ell * (np.arange(ell)[:, None] * shifts % ell)
-    dft = np.concatenate((np.cos(angle), np.sin(angle)), 1)
-    opt_dft = options[-2][:, :m] @ dft[classes[steps[-2][1]]]
-    dft.flags.writeable = opt_dft.flags.writeable = False
-    return _Plan(steps, classes, plus, minus, own, slack, options, dft, opt_dft)
+    cos = np.cos(2 * np.pi / ell * (shifts[:, None] * shifts % ell))
+    cos.flags.writeable = False
+    return _Plan(steps, classes, plus, minus, own, slack, options, cos)
 
 
 def _score_state(plan: _Plan, depth: int, order: np.ndarray, state: np.ndarray,
                  part: np.ndarray, psd_limit) -> Tuple[np.ndarray, np.ndarray]:
-    """The walk's step: _score_block's exact product for one state (2 × ℓ
-    rows, ``part`` their partial PAFs) as 2-D arrays, then _psd_max at the A
-    side's last step unless ``psd_limit`` is falsy.  Return the survivors'
-    positions in ``order`` and their scored side's new partial PAFs."""
+    """The walk's step: _score_block's exact deficits for one state (2 × ℓ
+    rows, ``part`` their partial PAFs), options × shifts, from the plan's
+    options, then _psd_max at the A side's last step unless ``psd_limit`` is
+    falsy.  Return the survivors' positions in ``order`` and new PAFs."""
     side, j = plan.steps[depth]
     row = state[side]
     gain = row[plan.plus[j]] + row[plan.minus[j]]
     z = plan.options[depth] @ np.concatenate((gain, plan.own, (part[0] + part[1] + 2)[None]))
     live = (np.abs(z) <= plan.slack[depth]).all(1)[order].nonzero()[0]
-    if psd_limit and depth == len(plan.steps) - 2 and live.size:
-        live = live[_psd_max(state[None, 0], 0, live, order, plan.dft, plan.opt_dft) <= psd_limit]
     new = z.take(order[live], 0).astype(np.int32)
     new -= 2 + part[1 - side]
+    if psd_limit and depth == len(plan.steps) - 2:
+        keep = _psd_max(new, plan.cos) <= psd_limit
+        live, new = live[keep], new[keep]
     return live, new
 
 
@@ -238,8 +247,8 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     within a class; each class j of a side has exactly (m - row_j)/2 entries
     equal to -1, so every completion compresses to the candidate.  Pruning:
     the joint PAF interval bound per shift, plus an optional PSD ceiling on
-    the completed A side (_psd_max: a float64 DFT product on the rows'
-    linear parts, no FFT).  A leaf has no unknown product left, so there the
+    the completed A side (_psd_max: a float64 cosine product on its exact
+    PAF, no FFT).  A leaf has no unknown product left, so there the
     joint bound is PAF_A(s) + PAF_B(s) = -2 on shifts 1..ℓ//2: every leaf
     reached is a pair and is emitted as it is.  Even ℓ, which has no pair,
     is refused.
@@ -253,12 +262,12 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     state per depth so (_score_state) down to the tail's first depth
     (_tail_start); below it, one call scores the whole subtree a level at a
     time, every surviving state of a level against every option of the next
-    (_score_block), and keeps survivors in (state, option) order, which is
-    preorder.  Each option counts as one node, in the seeded order, so
-    budgets cut the same tree prefix: a subtree counts its widths times its
-    live states, and when the budget or max_solutions cuts inside it, a
-    leaf's preorder rank is its parent's rank, plus its option index and 1,
-    plus the nodes below its earlier live siblings.
+    (_score_block, with C_j folded into each class's _tail_options), keeping
+    survivors in (state, option) order, which is preorder.  Each option is
+    one node, in the seeded order, so budgets cut the same tree prefix: a
+    subtree counts its widths times its live states; when the budget or
+    max_solutions cuts inside it, a leaf's preorder rank is its parent's,
+    plus its option index and 1, plus the nodes below earlier live siblings.
     """
     cfg.validate()
     if cfg.strategy != "backtrack":
@@ -266,7 +275,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     if ell % 2 == 0:
         raise SearchConfigError(f"no Legendre pair has even length, got ℓ={ell}")
     plan = _plan(ell, cand.a, cand.b)
-    steps, classes, plus, minus, own, slack, options, dft, opt_dft = plan
+    steps, classes, plus, _, _, slack, options, cos = plan
     m, nshifts = plus.shape[1:]
 
     rng = random.Random(cfg.seed)
@@ -293,14 +302,14 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         and their scored side's partial PAFs."""
         side, j = steps[depth]
         order = orders[depth]
+        q = _tail_options(ell, len(cand.a), j, (m - (cand.a, cand.b)[side][j]) // 2)
         chunk = max(1, TAIL_BLOCK // (len(order) * nshifts))
         found = []
         for lo in range(0, len(states), chunk):
-            rows = states[lo:lo + chunk]
-            s, o, new = _score_block(options[depth], order, rows[:, side], part[lo:lo + chunk],
-                                     side, plus[j], minus[j], own, slack[depth])
-            if cfg.psd_prune and depth == a_last_step and len(s):
-                keep = _psd_max(rows[:, 0], s, o, order, dft, opt_dft) <= psd_limit
+            s, o, new = _score_block(q, order, states[lo:lo + chunk, side], part[lo:lo + chunk],
+                                     side, slack[depth])
+            if cfg.psd_prune and depth == a_last_step:
+                keep = _psd_max(new, cos) <= psd_limit
                 s, o, new = s[keep], o[keep], new[keep]
             found.append((s + lo, o, new))
         return found[0] if len(found) == 1 else [np.concatenate(x) for x in zip(*found)]

@@ -407,6 +407,10 @@ class TestBatchedTail:
         assert decompress._options(5, 2, 2) is options
         assert options.shape == (10, 5 + 2 + 1)  # [v | intra-class PAF | 1]
         assert not options.flags.writeable
+        q = decompress._tail_options(25, 5, 3, 2)
+        assert decompress._tail_options(25, 5, 3, 2) is q
+        assert q.shape == (12 * 10, 25 + 12 + 1)  # (shift, option) × [entries | part sums | 1]
+        assert not q.flags.writeable
 
 
 def partial_paf(rows, nshifts):
@@ -445,6 +449,10 @@ class TestScoreBlock:
         part = np.stack([partial_paf(rows[:, 0], nshifts), partial_paf(rows[:, 1], nshifts)], 1)
         side, j = plan.steps[depth]
         options = plan.options[depth]
+        q = decompress._tail_options(ell, 5, j, (ell // 5 - (cand.a, cand.b)[side][j]) // 2)
+        # exact integer weights, at most 2 in magnitude on the entries
+        np.testing.assert_array_equal(q, np.rint(q))
+        assert np.abs(q[:, :ell]).max() <= 2
 
         full = np.repeat(rows[:, side, None].astype(np.int64), len(options), 1)
         full[:, :, plan.classes[j]] = options[:, :m]
@@ -456,8 +464,8 @@ class TestScoreBlock:
                  "loose": np.full(nshifts, 4 * ell)}[limit]
         order = rng.permutation(len(options))  # a search's option order
 
-        s, o, new = decompress._score_block(options, order, rows[:, side], part.astype(np.int32),
-                                            side, plan.plus[j], plan.minus[j], plan.own, slack)
+        s, o, new = decompress._score_block(q, order, rows[:, side], part.astype(np.int32),
+                                            side, slack)
 
         ref_s, ref_o = np.nonzero((deficit <= slack).all(2)[:, order])
         np.testing.assert_array_equal(s, ref_s)
@@ -515,11 +523,11 @@ class TestScoreState:
         live, new = decompress._score_state(plan, depth, order, state, part,
                                             psd_prune and psd_limit)
 
-        s, o, ref = decompress._score_block(options, order, state[None, side], part[None], side,
-                                            plan.plus[j], plan.minus[j], plan.own, limits[depth])
+        q = decompress._tail_options(ell, 5, j, (m - (cand.a, cand.b)[side][j]) // 2)
+        s, o, ref = decompress._score_block(q, order, state[None, side], part[None], side,
+                                            limits[depth])
         if psd_prune and depth == a_last_step and len(s):
-            keep = decompress._psd_max(state[None, 0], s, o, order, plan.dft,
-                                       plan.opt_dft) <= psd_limit
+            keep = decompress._psd_max(ref, plan.cos) <= psd_limit
             o, ref = o[keep], ref[keep]
         np.testing.assert_array_equal(live, o)
         assert np.all(np.diff(live) > 0)  # positions in the seeded order
@@ -548,9 +556,20 @@ class TestScoreState:
 
 
 class TestDftCeiling:
-    """The DFS PSD ceiling (_psd_max: a float64 DFT product on the A rows'
-    linear parts) against psd_vector on the completed A rows: the maximum
-    over k != 0 within 1e-9 and the same keep mask."""
+    """The DFS PSD ceiling (_psd_max: PSD_k = ℓ + 2 Σ_s PAF(s)·cos(2π·sk/ℓ),
+    one float64 product on exact PAFs) against psd_vector's FFT of the ±1
+    rows: the maximum over k != 0 within 1e-9 and the same keep mask.  Its
+    ℓ//2 terms are |PAF| <= ℓ times reduced cosines, so it errs by at most
+    8ℓ³·2**-53 (< 1e-8 for ℓ <= 200)."""
+
+    @staticmethod
+    def check(rows, cos):
+        ell = rows.shape[1]
+        got = decompress._psd_max(partial_paf(rows, ell // 2).astype(np.int32), cos)
+        ref = psd_vector(rows)[:, 1:].max(1)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+        limit = 2 * ell + 2 + decompress.PSD_CEILING_TOL
+        np.testing.assert_array_equal(got <= limit, ref <= limit)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -563,35 +582,27 @@ class TestDftCeiling:
         cands = cached_candidates(ell // 5)
         cand = cands[ci % len(cands)]
         plan = decompress._plan(ell, cand.a, cand.b)
-        assert not plan.dft.flags.writeable and not plan.opt_dft.flags.writeable
+        assert not plan.cos.flags.writeable
         h = ell // 2
-        # entry (i, k) is cos or sin of 2π(i·k mod ℓ)/ℓ, so exactly entry
-        # (i·k mod ℓ, 1): every angle is reduced before cos and sin
-        ik = np.arange(ell)[:, None] * np.arange(1, h + 1) % ell
-        cos1, sin1 = plan.dft[:, 0], plan.dft[:, h]
-        np.testing.assert_array_equal(plan.dft, np.concatenate((cos1[ik], sin1[ik]), 1))
+        # entry (s - 1, k - 1) is cos 2π(s·k mod ℓ)/ℓ: every angle is reduced
+        sk = np.arange(1, h + 1)[:, None] * np.arange(1, h + 1) % ell
+        np.testing.assert_array_equal(plan.cos, np.cos(2 * np.pi / ell * sk))
         m = plan.plus.shape[1]
-        depth = len(plan.steps) - 2  # the A side's last step, as in the search
-        side, j = plan.steps[depth]
-        assert side == 0 and all(sd == 1 or jj != j for sd, jj in plan.steps[:depth])
-        # A rows with random options in every earlier class, 0 in class j
+        # completed A rows, a random option in every class, as the search's
+        # A side's last step leaves them
         rng = np.random.default_rng(seed)
         rows = np.zeros((states, ell), dtype=np.int8)
-        for (sd, jj), options in zip(plan.steps[:depth], plan.options):
-            if sd == 0:
-                rows[:, plan.classes[jj]] = options[rng.integers(len(options), size=states), :m]
-        options = plan.options[depth]
-        order = rng.permutation(len(options))  # a search's option order
-        s, o = (x.ravel() for x in np.indices((states, len(options))))
+        for (side, j), options in zip(plan.steps, plan.options):
+            if side == 0:
+                rows[:, plan.classes[j]] = options[rng.integers(len(options), size=states), :m]
+        assert np.all(rows != 0)
+        self.check(rows, plan.cos)
 
-        got = decompress._psd_max(rows, s, o, order, plan.dft, plan.opt_dft)
-
-        full = rows[s].astype(np.int64)
-        full[:, plan.classes[j]] = options[order[o], :m]
-        ref = psd_vector(full)[:, 1:].max(1)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
-        limit = 2 * ell + 2 + decompress.PSD_CEILING_TOL
-        np.testing.assert_array_equal(got <= limit, ref <= limit)
+    @pytest.mark.parametrize("ell", [85, 199])
+    def test_matches_fft_on_random_rows(self, ell):
+        rng = np.random.default_rng(ell)
+        cos = decompress._plan(ell, (1,) * ell, (1,) * ell).cos  # m = 1: a small plan
+        self.check(1 - 2 * rng.integers(0, 2, size=(64, ell), dtype=np.int8), cos)
 
 
 def loop_slack(plan, ell):
