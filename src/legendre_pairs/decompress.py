@@ -240,6 +240,27 @@ def _score_state(plan: _Plan, depth: int, order: np.ndarray, state: np.ndarray,
     return live, new
 
 
+def _a_ceiling(plan: _Plan, order: np.ndarray, state: np.ndarray, part: np.ndarray,
+               psd_limit: float) -> Tuple[np.ndarray, np.ndarray]:
+    """_score_state's PSD cut at the A side's last step, taken once for all
+    children of a state one B step above it, which share A's row and partial
+    PAF: the positions in ``order`` it keeps and their completed PAF_A."""
+    j = plan.steps[-2][1]
+    gain = state[0, plan.plus[j]] + state[0, plan.minus[j]]
+    paf = plan.options[-2][order, :-1] @ np.concatenate((gain, plan.own)) + part[0]
+    kept = (_psd_max(paf, plan.cos) <= psd_limit).nonzero()[0]
+    return kept, paf[kept].astype(np.int32)
+
+
+def _a_last_step(ceiling: Tuple[np.ndarray, np.ndarray], part: np.ndarray,
+                 limit: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """_score_state at the A side's last step: the joint bound on the rows an
+    _a_ceiling kept, |PAF_A + part_B + 2| <= limit."""
+    kept, paf = ceiling
+    live = (np.abs(paf + (part[1] + 2)) <= limit).all(1)
+    return kept[live], paf[live]
+
+
 def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> SearchResult:
     """Depth-first search for ±1 pairs whose m-compressions equal (cand.a, cand.b).
 
@@ -260,14 +281,16 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     shifts ≡ 0 (mod d), with ``C_j[t, s] = row[i_t + s] + row[i_t - s]``;
     the unknown products depend on the depth only.  The walk scores its one
     state per depth so (_score_state) down to the tail's first depth
-    (_tail_start); below it, one call scores the whole subtree a level at a
-    time, every surviving state of a level against every option of the next
-    (_score_block, with C_j folded into each class's _tail_options), keeping
-    survivors in (state, option) order, which is preorder.  Each option is
-    one node, in the seeded order, so budgets cut the same tree prefix: a
-    subtree counts its widths times its live states; when the budget or
-    max_solutions cuts inside it, a leaf's preorder rank is its parent's,
-    plus its option index and 1, plus the nodes below earlier live siblings.
+    (_tail_start), the A side's last step from one PSD cut per frame above
+    it (_a_ceiling, then _a_last_step); below it, one call scores the whole
+    subtree a level at a time, every surviving state of a level against
+    every option of the next (_score_block, with C_j folded into each
+    class's _tail_options), keeping survivors in (state, option) order,
+    which is preorder.  Each option is one node, in the seeded order, so
+    budgets cut the same tree prefix: a subtree counts its widths times its
+    live states; when the budget or max_solutions cuts inside it, a leaf's
+    preorder rank is its parent's, plus its option index and 1, plus the
+    nodes below earlier live siblings.
     """
     cfg.validate()
     if cfg.strategy != "backtrack":
@@ -287,7 +310,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         orders.append(np.array(perm))
 
     result = SearchResult()
-    psd_limit = 2 * ell + 2 + PSD_CEILING_TOL
+    psd_limit = cfg.psd_prune and 2 * ell + 2 + PSD_CEILING_TOL  # False: no PSD ceiling
     a_last_step = len(steps) - 2  # the A side is complete after it
     tail = _tail_start([len(order) for order in orders])
 
@@ -308,7 +331,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         for lo in range(0, len(states), chunk):
             s, o, new = _score_block(q, order, states[lo:lo + chunk, side], part[lo:lo + chunk],
                                      side, slack[depth])
-            if cfg.psd_prune and depth == a_last_step:
+            if psd_limit and depth == a_last_step:
                 keep = _psd_max(new, cos) <= psd_limit
                 s, o, new = s[keep], o[keep], new[keep]
             found.append((s + lo, o, new))
@@ -330,12 +353,12 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     rows = np.zeros((1, 2, ell), dtype=np.int8)  # the walk's state
     nodes, budget, stop = 0, cfg.budget_nodes, False
 
-    def enter(depth: int, part: np.ndarray) -> list:
-        """The walk frame [depth, surviving option indices, their partial
-        PAFs, the partial PAFs at entry, survivors walked, options walked]."""
-        live, new = _score_state(plan, depth, orders[depth], rows[0], part,
-                                 cfg.psd_prune and psd_limit)
-        return [depth, live.tolist(), new, part, 0, 0]
+    def enter(depth: int, part: np.ndarray, ceiling=None) -> list:
+        """The walk frame [depth, surviving option indices, their partial PAFs,
+        the partial PAFs at entry, survivors walked, options walked, its _a_ceiling]."""
+        live, new = (_a_last_step(ceiling, part, slack[depth]) if ceiling else
+                     _score_state(plan, depth, orders[depth], rows[0], part, psd_limit))
+        return [depth, live.tolist(), new, part, 0, 0, None]
 
     def emit_tail(part: np.ndarray) -> Tuple[int, bool]:
         """Score the subtree below the walk's state from the tail's first
@@ -375,7 +398,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         stack.append(enter(0, root))
     while stack:
         frame = stack[-1]
-        depth, live, new, part, pos, taken = frame
+        depth, live, new, part, pos, taken, ceiling = frame
         side, j = steps[depth]
         if pos == len(live):  # only pruned options remain at this depth
             nodes += len(orders[depth]) - taken
@@ -391,12 +414,21 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             nodes, stop = budget, True
             break
         nodes += 1
-        frame[4:] = pos + 1, k + 1
+        frame[4:6] = pos + 1, k + 1
         rows[0, side, classes[j]] = chosen(depth, k)
         child = part.copy()
         child[side] = new[pos]
+        if psd_limit and depth + 1 == a_last_step < tail:
+            if ceiling is None:
+                ceiling = frame[6] = _a_ceiling(plan, orders[a_last_step], rows[0], part, psd_limit)
+            if not len(ceiling[0]):  # every option of the child is pruned: count them as a pop
+                nodes += len(orders[a_last_step])
+                if nodes > budget:
+                    nodes, stop = budget, True
+                    break
+                continue
         if depth + 1 < tail:
-            stack.append(enter(depth + 1, child))
+            stack.append(enter(depth + 1, child, ceiling))
             continue
         added, stop = emit_tail(child)
         nodes += added
@@ -405,18 +437,6 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     result.nodes_visited = nodes
     result.exhausted = not stop
     return result
-
-
-def _selection_hash(seed: int, index: int, space1: int, space2: int) -> Tuple[int, int]:
-    """Counter-based pseudo-random selection pair: splittable and reproducible.
-
-    The reference for _selections' sampling, which draws the same pairs a
-    chunk of indices at a time."""
-    digest = hashlib.blake2b(
-        f"{seed}:{index}".encode(), digest_size=16
-    ).digest()
-    v = int.from_bytes(digest, "big")
-    return (v % space1, (v // space1) % space2)
 
 
 # Selections decoded and filtered per numpy pass.  Results do not depend on
@@ -451,10 +471,10 @@ def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
     rank-order scan or the seeded sampling, CHUNK indices at a time.
 
     Keys are int64, or Python ints (object dtype) when space1 · space2 does
-    not fit.  Every hint is checked before the first selection.  A sampled
-    key is _selection_hash's pair as one int: for v the hash value,
-    v mod space1·space2 = (v // space1 mod space2) · space1 + v mod space1.
-    Sampling draws no index past the budget.
+    not fit.  Every hint is checked before the first selection.  Sampling
+    draws index i as v mod space1·space2, v the 16-byte blake2b digest of
+    "seed:i" read big-endian, which is the pair (v mod space1, v // space1
+    mod space2) as one key.  It draws no index past the budget.
     """
     k1, k2 = cfg.ones_orbits, cfg.twos_orbits
     space1, space2 = math.comb(n1, k1), math.comb(n2, k2)

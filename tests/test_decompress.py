@@ -268,19 +268,22 @@ L15_TOTALS = (5603, 5360)
 
 
 class TestDeterminism:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
-        target=st.sampled_from([(15, 0), (15, 1), (25, 0), (25, 1), (25, 2)]),
+        target=st.sampled_from([(15, 0), (15, 1), (25, 0), (25, 1), (25, 2),
+                                (45, 0), (45, 1), (45, 2)]),
         seed=st.integers(0, 2**32 - 1),
         budgets=st.lists(st.integers(1, 7000), min_size=2, max_size=2, unique=True),
     )
     def test_budget_prefix(self, target, seed, budgets):
         """A larger budget extends the explored prefix: the pairs found first
-        stay first, and a budget is spent in full unless the tree ends."""
+        stay first, and a budget is spent in full unless the tree ends.  At
+        ℓ=45 the walk takes the A side's last step from _a_ceiling."""
         ell, ci = target
         cand = cached_candidates(ell // 5)[ci]
-        # every ℓ=25 tree here has more than 20,000 nodes (TestPinnedResults)
-        total = L15_TOTALS[ci] if ell == 15 else 20_001
+        # every ℓ=25 tree here has more than 20,000 nodes (TestPinnedResults),
+        # every ℓ=45 tree more than 7,000 (a 7,001-node search is cut)
+        total = L15_TOTALS[ci] if ell == 15 else 7_001
         b1, b2 = sorted(budgets)
         small = uncompress_search(ell, cand, SearchConfig(seed=seed, budget_nodes=b1))
         big = uncompress_search(ell, cand, SearchConfig(seed=seed, budget_nodes=b2))
@@ -387,11 +390,21 @@ class TestBatchedTail:
             (0, 155, 50_000, 1, False),  # at node 5,295 with no PSD ceiling
             (0, 155, 5_294, 0, False),
             (1, 2, 37_777, 0, True),
+            # walk_search cut below a child of a depth-7 frame whose A-side
+            # ceiling keeps options: seed 5 at node 150, in the subtree of
+            # nodes 80-219 (3 options kept and live), seed 14 at node 50, in
+            # nodes 9-85 (2 kept and live), and seed 174 at its first pair,
+            # node 130,727, or one node before it
+            (0, 5, 150, 0, True),
+            (1, 14, 50, 0, True),
+            (1, 174, 200_000, 1, True),
+            (1, 174, 130_726, 1, True),
         ],
     )
     def test_matches_walk_below_a_mid_tree_tail(self, ci, seed, budget, max_solutions, psd_prune):
         """At ℓ=35 the search walks 7 depths and batches the last 3, so the
-        walk's step and the tail meet mid-tree; walk_search walks all 10."""
+        walk's step and the tail meet mid-tree; walk_search walks all 10 and
+        takes the A side's last step (depth 8) from _a_ceiling."""
         cand = cached_candidates(7)[ci]
         plan = decompress._plan(35, cand.a, cand.b)
         assert decompress._tail_start([len(x) for x in plan.options]) == 7
@@ -476,6 +489,17 @@ class TestScoreBlock:
             assert len(s) == states * len(options)
 
 
+def reachable_state(plan, depth, rng):
+    """A reachable walk state at ``depth``: random options assigned to every
+    earlier depth, with its exact partial PAFs (int32)."""
+    m, nshifts = plan.plus.shape[1:]
+    state = np.zeros((2, plan.classes.size), dtype=np.int8)
+    for (side, j), options in zip(plan.steps[:depth], plan.options):
+        state[side, plan.classes[j]] = options[rng.integers(len(options)), :m]
+    part = np.stack([partial_paf(state[0], nshifts), partial_paf(state[1], nshifts)])
+    return state, part.astype(np.int32)
+
+
 class TestScoreState:
     """The walk's step (_score_state) against _score_block with one state
     followed, at the A side's last step, by _psd_max: the same survivor
@@ -498,13 +522,8 @@ class TestScoreState:
         m, nshifts = plan.plus.shape[1:]
         a_last_step = len(plan.steps) - 2
         depth = a_last_step if a_last else min(int(frac * len(plan.steps)), len(plan.steps) - 1)
-        # a reachable state: random options assigned to every earlier depth
         rng = np.random.default_rng(seed)
-        state = np.zeros((2, ell), dtype=np.int8)
-        for (side, j), options in zip(plan.steps[:depth], plan.options):
-            state[side, plan.classes[j]] = options[rng.integers(len(options)), :m]
-        part = np.stack([partial_paf(state[0], nshifts), partial_paf(state[1], nshifts)])
-        part = part.astype(np.int32)
+        state, part = reachable_state(plan, depth, rng)
         side, j = plan.steps[depth]
         options = plan.options[depth]
         full = np.repeat(state[None, side].astype(np.int64), len(options), 0)
@@ -553,6 +572,100 @@ class TestScoreState:
         every, _ = decompress._score_state(*args, 0)
         kept, _ = decompress._score_state(*args, 2 * 25 + 2 + decompress.PSD_CEILING_TOL)
         assert len(every) == len(order) > len(kept)
+
+
+class TestACeiling:
+    """The walk's A-side last step from the frame one B step above it:
+    _a_ceiling once per frame, then _a_last_step per child, against
+    _score_state on each child's state."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ell=st.sampled_from([25, 35, 45]),
+        ci=st.integers(0, 10**6),
+        psd=st.sampled_from(["real", "every"]),
+        limit=st.sampled_from(["plan", "loose"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_score_state(self, ell, ci, psd, limit, seed):
+        cands = cached_candidates(ell // 5)
+        cand = cands[ci % len(cands)]
+        plan = decompress._plan(ell, cand.a, cand.b)
+        depth = len(plan.steps) - 2  # the A side's last step
+        above = depth - 1
+        assert plan.steps[above][0] == 1  # a B step: A's row is fixed below it
+        # every option of the frame above is a live child; at the A side's
+        # last step the plan's limit, or one that every option passes
+        limits = plan.slack.copy()
+        limits[above] = 4 * ell
+        if limit == "loose":
+            limits[depth] = 4 * ell
+        plan = plan._replace(slack=limits)
+        # the real PSD ceiling, or one that keeps every option
+        psd_limit = 2 * ell + 2 + decompress.PSD_CEILING_TOL if psd == "real" else np.inf
+        rng = np.random.default_rng(seed)
+        state, part = reachable_state(plan, above, rng)
+        orders = [rng.permutation(len(plan.options[d])) for d in (above, depth)]
+        children, pafs = decompress._score_state(plan, above, orders[0], state, part, psd_limit)
+        assert len(children) == len(orders[0])
+
+        ceiling = decompress._a_ceiling(plan, orders[1], state, part, psd_limit)
+        if psd == "every":
+            assert len(ceiling[0]) == len(orders[1])
+        m, j = plan.plus.shape[1], plan.steps[above][1]
+        for pos, paf_b in zip(children, pafs):
+            child, child_part = state.copy(), part.copy()
+            child[1, plan.classes[j]] = plan.options[above][orders[0][pos], :m]
+            child_part[1] = paf_b
+            live, new = decompress._a_last_step(ceiling, child_part, limits[depth])
+            ref, ref_new = decompress._score_state(plan, depth, orders[1], child, child_part,
+                                                   psd_limit)
+            np.testing.assert_array_equal(live, ref)
+            assert np.all(np.diff(live) > 0)  # positions in the seeded order
+            assert new.dtype == np.int32
+            np.testing.assert_array_equal(new, ref_new)
+            if limit == "loose":
+                assert len(live) == len(ceiling[0])
+
+    @pytest.mark.parametrize("ci,seed", [(0, 0), (0, 3), (0, 5), (1, 0)])
+    def test_walk_budget_at_the_tree_size(self, ci, seed):
+        """The tail-less ℓ=15 walk, which takes the A side's last step from
+        _a_ceiling: a budget of the tree's size exhausts it, one node less
+        cuts it at its last node.  At seeds 3 and 5 of the first candidate
+        the walk ends on a child whose options the ceiling all prunes, so
+        the count without entering it decides."""
+        cand = cached_candidates(3)[ci]
+        total = L15_TOTALS[ci]
+        for budget, exhausted in ((total, True), (total - 1, False)):
+            res = walk_search(15, cand, SearchConfig(seed=seed, budget_nodes=budget))
+            assert (res.nodes_visited, res.exhausted) == (budget, exhausted)
+
+    @pytest.mark.parametrize("psd_prune", [True, False])
+    def test_walk_scores_no_a_side_last_step(self, monkeypatch, psd_prune):
+        """With the PSD ceiling, a 4,000-node ℓ=45 search makes no _score_state
+        call at the A side's last step, but reaches it through _a_ceiling;
+        with no ceiling it scores that step as every other."""
+        cand = cached_candidates(9)[0]
+        depth = len(decompress._plan(45, cand.a, cand.b).steps) - 2
+        calls = defaultdict(int)  # _score_state calls per depth, and _a_ceiling's
+        score_state, a_ceiling = decompress._score_state, decompress._a_ceiling
+
+        def counting_score_state(plan, d, *args):
+            calls[d] += 1
+            return score_state(plan, d, *args)
+
+        def counting_a_ceiling(*args):
+            calls["ceiling"] += 1
+            return a_ceiling(*args)
+
+        monkeypatch.setattr(decompress, "_score_state", counting_score_state)
+        monkeypatch.setattr(decompress, "_a_ceiling", counting_a_ceiling)
+        uncompress_search(45, cand, SearchConfig(seed=1, budget_nodes=4000, psd_prune=psd_prune))
+        assert calls[depth - 1] > 0
+        if psd_prune:
+            assert calls[depth] == 0 < calls["ceiling"]
+        else:
+            assert calls[depth] > 0 == calls["ceiling"]
 
 
 class TestDftCeiling:
@@ -673,6 +786,15 @@ def oracle_block_pairs(ell):
             count += n * (n - 1) // 2
             count += sum(1 for i in members if all(v == -1 for v in pv[i, 1:]))
     return count
+
+
+def _selection_hash(seed, index, space1, space2):
+    """Counter-based pseudo-random selection pair, one index at a time: the
+    reference for _selections' sampling, which draws the same pairs a chunk
+    of indices at a time."""
+    digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=16).digest()
+    v = int.from_bytes(digest, "big")
+    return (v % space1, (v // space1) % space2)
 
 
 class TestOrbitSearch:
@@ -798,7 +920,7 @@ class TestOrbitSearch:
         got = got[:count]
         want, seen, index = [], set(), 0
         while len(want) < (count or space1 * space2):
-            rank1, rank2 = decompress._selection_hash(seed, index, space1, space2)
+            rank1, rank2 = _selection_hash(seed, index, space1, space2)
             index += 1
             if rank2 * space1 + rank1 not in seen:
                 seen.add(rank2 * space1 + rank1)
@@ -815,7 +937,7 @@ class TestOrbitSearch:
         512 keys (the fast path), and the rest is _selection_hash's
         sequence."""
         space1, space2 = math.comb(16, 12), math.comb(34, 15)
-        drawn = [decompress._selection_hash(seed, i, space1, space2) for i in range(2048)]
+        drawn = [_selection_hash(seed, i, space1, space2) for i in range(2048)]
         keys = [rank2 * space1 + rank1 for rank1, rank2 in drawn]
         hints = (drawn[5], drawn[1100], drawn[1101], (0, 0))
         cfg = self.l85_cfg(seed=seed, budget_nodes=10**9, hint_codes=hints)
