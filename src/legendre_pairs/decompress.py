@@ -157,7 +157,7 @@ def _psd_max(paf: np.ndarray, cos: np.ndarray) -> np.ndarray:
     PSD_k = ℓ + 2 Σ_s PAF(s)·cos(2π·sk/ℓ) and PSD_k = PSD_(ℓ-k), so k =
     1..ℓ//2 covers every k != 0.  |PAF| <= ℓ and the angles are reduced,
     so the error is at most 8ℓ³·2**-53, below PSD_CEILING_TOL."""
-    return 2 * (paf @ cos).max(1) + 2 * len(cos) + 1
+    return 2 * (paf @ cos).max(-1) + 2 * len(cos) + 1
 
 
 def _tail_start(widths: Sequence[int]) -> int:
@@ -241,15 +241,19 @@ def _score_state(plan: _Plan, depth: int, order: np.ndarray, state: np.ndarray,
 
 
 def _a_ceiling(plan: _Plan, order: np.ndarray, state: np.ndarray, part: np.ndarray,
-               psd_limit: float) -> Tuple[np.ndarray, np.ndarray]:
+               psd_limit: float) -> Tuple[np.ndarray, ...]:
     """_score_state's PSD cut at the A side's last step, taken once for all
     children of a state one B step above it, which share A's row and partial
-    PAF: the positions in ``order`` it keeps and their completed PAF_A."""
+    PAF: the positions in ``order`` it keeps and their completed PAF_A.  For
+    a batch of states (P × 2 × ℓ, ``part`` P × 2 × ℓ//2) it returns each
+    kept row's state index first, in (state, position) order."""
     j = plan.steps[-2][1]
-    gain = state[0, plan.plus[j]] + state[0, plan.minus[j]]
-    paf = plan.options[-2][order, :-1] @ np.concatenate((gain, plan.own)) + part[0]
-    kept = (_psd_max(paf, plan.cos) <= psd_limit).nonzero()[0]
-    return kept, paf[kept].astype(np.int32)
+    row = state[..., 0, :]
+    gain = row[..., plan.plus[j]] + row[..., plan.minus[j]]
+    own = np.broadcast_to(plan.own, gain.shape[:-2] + plan.own.shape)
+    paf = plan.options[-2][order, :-1] @ np.concatenate((gain, own), -2) + part[..., None, 0, :]
+    keep = _psd_max(paf, plan.cos) <= psd_limit
+    return (*keep.nonzero(), paf[keep].astype(np.int32))
 
 
 def _a_last_step(ceiling: Tuple[np.ndarray, np.ndarray], part: np.ndarray,
@@ -259,6 +263,26 @@ def _a_last_step(ceiling: Tuple[np.ndarray, np.ndarray], part: np.ndarray,
     kept, paf = ceiling
     live = (np.abs(paf + (part[1] + 2)) <= limit).all(1)
     return kept[live], paf[live]
+
+
+def _a_last_level(plan: _Plan, order: np.ndarray, states: np.ndarray, part: np.ndarray,
+                  parent: np.ndarray, psd_limit: float) -> Tuple[np.ndarray, ...]:
+    """The tail's level at the A side's last step, with the PSD ceiling: the
+    level above is a B step, so the states (F × 2 × ℓ) of one ``parent``
+    (nondecreasing) share A's row and PAF_A.  One _a_ceiling over each
+    parent's first state, then each state's joint bound on the kept rows:
+    what _score_block, then _psd_max, return state by state (state indices,
+    positions in ``order``, int32 PAF_A), in the same order."""
+    first = np.diff(parent, prepend=-1) != 0
+    g, kept, paf = _a_ceiling(plan, order, states[first], part[first], psd_limit)
+    count = np.bincount(g, minlength=first.sum())
+    group = first.cumsum() - 1
+    n = count[group]  # a state's rows are its parent's kept rows
+    s = np.repeat(np.arange(len(states)), n)
+    e = np.arange(len(s)) + np.repeat(count.cumsum()[group] - n.cumsum(), n)
+    rows = paf[e]
+    live = (np.abs(rows + (part[s, 1] + 2)) <= plan.slack[-2]).all(1)
+    return s[live], kept[e[live]], rows[live]
 
 
 def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> SearchResult:
@@ -286,7 +310,9 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     subtree a level at a time, every surviving state of a level against
     every option of the next (_score_block, with C_j folded into each
     class's _tail_options), keeping survivors in (state, option) order,
-    which is preorder.  Each option is one node, in the seeded order, so
+    which is preorder.  With the PSD ceiling, the tail's A-side last level
+    takes one PSD cut per parent in the level above and the joint bound per
+    state (_a_last_level).  Each option is one node, in the seeded order, so
     budgets cut the same tree prefix: a subtree counts its widths times its
     live states; when the budget or max_solutions cuts inside it, a leaf's
     preorder rank is its parent's, plus its option index and 1, plus the
@@ -298,7 +324,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     if ell % 2 == 0:
         raise SearchConfigError(f"no Legendre pair has even length, got ℓ={ell}")
     plan = _plan(ell, cand.a, cand.b)
-    steps, classes, plus, _, _, slack, options, cos = plan
+    steps, classes, plus, _, _, slack, options, _ = plan
     m, nshifts = plus.shape[1:]
 
     rng = random.Random(cfg.seed)
@@ -331,9 +357,6 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         for lo in range(0, len(states), chunk):
             s, o, new = _score_block(q, order, states[lo:lo + chunk, side], part[lo:lo + chunk],
                                      side, slack[depth])
-            if psd_limit and depth == a_last_step:
-                keep = _psd_max(new, cos) <= psd_limit
-                s, o, new = s[keep], o[keep], new[keep]
             found.append((s + lo, o, new))
         return found[0] if len(found) == 1 else [np.concatenate(x) for x in zip(*found)]
 
@@ -363,8 +386,10 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     def emit_tail(part: np.ndarray) -> Tuple[int, bool]:
         """Score the subtree below the walk's state from the tail's first
         depth on, a level at a time, and emit its leaves in preorder; return
-        the nodes it adds and whether the search stops.  From depth
-        len(steps) the subtree is the state alone, a leaf of rank 0."""
+        the nodes it adds and whether the search stops.  At the A side's
+        last step, with the PSD ceiling, _a_last_level scores the level from
+        its states' parents.  From depth len(steps) the subtree is the
+        state alone, a leaf of rank 0."""
         # the frontier of states; its leaves once every depth is scored
         leaves, part, size, levels = rows, part[None], 0, []
         for depth in range(tail, len(steps)):
@@ -372,7 +397,11 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
                 break
             side, j = steps[depth]
             size += len(leaves) * len(orders[depth])
-            s, o, new = level(depth, leaves, part)
+            if psd_limit and depth == a_last_step:  # tail <= len(steps) - 3: levels[-1] exists
+                s, o, new = _a_last_level(plan, orders[depth], leaves, part, levels[-1][0],
+                                          psd_limit)
+            else:
+                s, o, new = level(depth, leaves, part)
             levels.append((s, o))
             leaves = leaves[s]
             leaves[:, side, classes[j]] = chosen(depth, o)

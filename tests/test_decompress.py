@@ -415,6 +415,36 @@ class TestBatchedTail:
         assert tail.nodes_visited == walk.nodes_visited
         assert tail.exhausted == walk.exhausted
 
+    @pytest.mark.parametrize(
+        "ci,seed,tail,budget,max_solutions,psd_prune",
+        [
+            # seed 2's first pair is the leaf at node 2,729, in the subtree
+            # of nodes 2,008-4,177; seed 4's at node 5,842, in nodes 6-8,930,
+            # where the budget of 3,000 also cuts.  In both subtrees the A
+            # side's last level has parents of 10 states whose ceiling keeps
+            # options
+            (0, 2, 6, 200_000, 1, True),
+            (0, 2, 6, 2_728, 1, True),
+            (0, 2, 6, 200_000, 1, False),
+            (1, 4, 5, 200_000, 1, True),
+            (1, 4, 5, 3_000, 0, True),
+        ],
+    )
+    def test_matches_walk_below_an_l25_tail(self, ci, seed, tail, budget, max_solutions,
+                                            psd_prune):
+        """At ℓ=25 the tail spans the last 4-5 depths, so it takes the A
+        side's last step (depth 8) from _a_last_level; walk_search walks all
+        10 and takes it from _a_ceiling per frame."""
+        cand = cached_candidates(5)[ci]
+        plan = decompress._plan(25, cand.a, cand.b)
+        assert decompress._tail_start([len(x) for x in plan.options]) == tail
+        cfg = SearchConfig(seed=seed, budget_nodes=budget, max_solutions=max_solutions,
+                           psd_prune=psd_prune)
+        res, walk = uncompress_search(25, cand, cfg), walk_search(25, cand, cfg)
+        assert res.pairs == walk.pairs
+        assert res.nodes_visited == walk.nodes_visited
+        assert res.exhausted == walk.exhausted
+
     def test_option_matrices_are_shared_read_only(self):
         options = decompress._options(5, 2, 2)
         assert decompress._options(5, 2, 2) is options
@@ -666,6 +696,128 @@ class TestACeiling:
             assert calls[depth] == 0 < calls["ceiling"]
         else:
             assert calls[depth] > 0 == calls["ceiling"]
+
+
+def per_state_a_last_level(plan, ell, cand, order, states, part, psd_limit):
+    """The batched tail's A-side last step scored state by state:
+    _score_block on each block of states, then _psd_max on its survivors."""
+    j = plan.steps[-2][1]
+    m, nshifts = plan.plus.shape[1:]
+    q = decompress._tail_options(ell, 5, j, (m - cand.a[j]) // 2)
+    chunk = max(1, decompress.TAIL_BLOCK // (len(order) * nshifts))
+    found = []
+    for lo in range(0, len(states), chunk):
+        s, o, new = decompress._score_block(q, order, states[lo:lo + chunk, 0],
+                                            part[lo:lo + chunk], 0, plan.slack[-2])
+        keep = decompress._psd_max(new, plan.cos) <= psd_limit
+        found.append((s[keep] + lo, o[keep], new[keep]))
+    return [np.concatenate(x) for x in zip(*found)]
+
+
+class TestALastLevel:
+    """The batched tail's A-side last step with the PSD ceiling
+    (_a_last_level: _a_ceiling once per parent, then each state's joint
+    bound) against scoring it state by state."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ell=st.sampled_from([15, 25, 35]),
+        ci=st.integers(0, 10**6),
+        parents=st.integers(2, 5),
+        psd=st.sampled_from(["real", "every"]),
+        limit=st.sampled_from(["plan", "loose"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_state_path(self, ell, ci, parents, psd, limit, seed):
+        """A frontier of parents one B step above, each followed by several
+        of its B options, as the tail's level above leaves them.  At ℓ=35
+        the per-state path takes blocks of 27 states, so most frontiers
+        there span several."""
+        cands = cached_candidates(ell // 5)
+        cand = cands[ci % len(cands)]
+        plan = decompress._plan(ell, cand.a, cand.b)
+        m, nshifts = plan.plus.shape[1:]
+        depth = len(plan.steps) - 2  # the A side's last step
+        above, jb = depth - 1, plan.steps[depth - 1][1]
+        if limit == "loose":  # a joint limit that every option passes
+            limits = plan.slack.copy()
+            limits[depth] = 4 * ell
+            plan = plan._replace(slack=limits)
+        # the real PSD ceiling, or one that keeps every option
+        psd_limit = 2 * ell + 2 + decompress.PSD_CEILING_TOL if psd == "real" else np.inf
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(len(plan.options[depth]))  # a search's option order
+        b_options = plan.options[above]
+        states, parts, parent = [], [], []
+        for p in range(parents):
+            # with the real ceiling, alternately a parent whose ceiling keeps
+            # options and one whose ceiling keeps none, where 30 draws find it
+            for _ in range(30):
+                state, part = reachable_state(plan, above, rng)
+                kept = decompress._a_ceiling(plan, order, state, part, psd_limit)[0]
+                if (len(kept) > 0) == (psd == "every" or p % 2 == 0):
+                    break
+            width = len(b_options)
+            for o in np.sort(rng.choice(width, rng.integers(min(2, width), width + 1), False)):
+                child = state.copy()
+                child[1, plan.classes[jb]] = b_options[o, :m]
+                states.append(child)
+                parts.append([part[0], partial_paf(child[1], nshifts)])
+                parent.append(2 * p + 1)  # the level above's survivors skip indices
+        states, part = np.array(states), np.array(parts, dtype=np.int32)
+
+        s, o, new = decompress._a_last_level(plan, order, states, part, np.array(parent),
+                                             psd_limit)
+
+        ref_s, ref_o, ref = per_state_a_last_level(plan, ell, cand, order, states, part,
+                                                   psd_limit)
+        np.testing.assert_array_equal(s, ref_s)
+        np.testing.assert_array_equal(o, ref_o)
+        assert new.dtype == np.int32
+        np.testing.assert_array_equal(new, ref)
+        if psd == "every" and limit == "loose":
+            assert len(s) == len(states) * len(order)
+
+    @pytest.mark.parametrize("ell,ci,seed,budget", [(25, 0, 29, 30_000), (35, 0, 2, 60_000)])
+    @pytest.mark.parametrize("psd_prune", [True, False])
+    def test_tail_scores_no_a_side_last_step(self, monkeypatch, ell, ci, seed, budget,
+                                             psd_prune):
+        """With the PSD ceiling, the batched tail makes no _score_block call
+        at the A side's last step, and takes one _a_ceiling row per parent
+        there, fewer than its states; with no ceiling it scores that step as
+        every other."""
+        cand = cached_candidates(ell // 5)[ci]
+        plan = decompress._plan(ell, cand.a, cand.b)
+        m = ell // 5
+        j, jb = plan.steps[-2][1], plan.steps[-3][1]
+        q_a = decompress._tail_options(ell, 5, j, (m - cand.a[j]) // 2)
+        q_b = decompress._tail_options(ell, 5, jb, (m - cand.b[jb]) // 2)
+        calls = defaultdict(int)
+        score_block, a_ceiling = decompress._score_block, decompress._a_ceiling
+
+        def counting_score_block(q, order, rows, part, side, slack):
+            s, o, new = score_block(q, order, rows, part, side, slack)
+            if q is q_a and side == 0:
+                calls["a_last"] += 1
+            if q is q_b and side == 1:  # the level above: its survivors and their parents
+                calls["states"] += len(s)
+                calls["parents"] += len(np.unique(s))
+            return s, o, new
+
+        def counting_a_ceiling(plan, order, state, *args):
+            calls["ceiling"] += len(state)  # at ℓ=25 and 35 only the tail calls it
+            return a_ceiling(plan, order, state, *args)
+
+        monkeypatch.setattr(decompress, "_score_block", counting_score_block)
+        monkeypatch.setattr(decompress, "_a_ceiling", counting_a_ceiling)
+        uncompress_search(ell, cand, SearchConfig(seed=seed, budget_nodes=budget,
+                                                  psd_prune=psd_prune))
+        assert calls["states"] > 0
+        if psd_prune:
+            assert calls["a_last"] == 0
+            assert 0 < calls["ceiling"] == calls["parents"] < calls["states"]
+        else:
+            assert calls["a_last"] > 0 == calls["ceiling"]
 
 
 class TestDftCeiling:
