@@ -184,6 +184,26 @@ class TestPinnedResults:
         assert_pairs_of(cand, res.pairs)
 
     @pytest.mark.parametrize(
+        "ell,psd_prune,nodes,count,digest",
+        [
+            (7, True, 525, 196, "cc0a3dc5cdb11a2694976980d76be393530144738b49c13e3f4d904ffa8c73be"),
+            (7, False, 1260, 196, "cc0a3dc5cdb11a2694976980d76be393530144738b49c13e3f4d904ffa8c73be"),
+            (11, True, 86856, 2904, "a9e484b02dfff2231c0bb5b292b8c98a2eef5aad8f0795b05802e24b1ab92ce6"),
+            (11, False, 213906, 2904, "a9e484b02dfff2231c0bb5b292b8c98a2eef5aad8f0795b05802e24b1ab92ce6"),
+        ],
+    )
+    def test_one_class_exhaustive(self, ell, psd_prune, nodes, count, digest):
+        """d = 1 (m = ℓ): two steps, no batched tail, and the A side's last
+        step is the walk's root."""
+        cand = CandidatePair(a=(1,), b=(1,), ell=ell, m=ell)
+        res = uncompress_search(ell, cand, SearchConfig(seed=0, psd_prune=psd_prune))
+        assert res.exhausted
+        assert res.nodes_visited == nodes
+        assert len(res.pairs) == count
+        assert pairs_sha256(res.pairs) == digest
+        assert sorted(res.pairs) == oracle_realizations(ell, cand)
+
+    @pytest.mark.parametrize(
         "ell,a,b,budget,nodes,exhausted",
         [
             (10, (0, 2, 2, -2, -2), (0, 2, -2, 0, 2), 10**6, 1, True),
