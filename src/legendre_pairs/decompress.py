@@ -222,11 +222,11 @@ def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
 
 
 def _score_state(plan: _Plan, depth: int, order: np.ndarray, state: np.ndarray,
-                 part: np.ndarray, psd_limit) -> Tuple[np.ndarray, np.ndarray]:
+                 part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The walk's step: _score_block's exact deficits for one state (2 × ℓ
     rows, ``part`` their partial PAFs), options × shifts, from the plan's
-    options, then _psd_max at the A side's last step unless ``psd_limit`` is
-    falsy.  Return the survivors' positions in ``order`` and new PAFs."""
+    options.  Return the survivors' positions in ``order`` and new PAFs.
+    The walk takes the A side's last step from _a_ceiling instead."""
     side, j = plan.steps[depth]
     row = state[side]
     gain = row[plan.plus[j]] + row[plan.minus[j]]
@@ -234,17 +234,15 @@ def _score_state(plan: _Plan, depth: int, order: np.ndarray, state: np.ndarray,
     live = (np.abs(z) <= plan.slack[depth]).all(1)[order].nonzero()[0]
     new = z.take(order[live], 0).astype(np.int32)
     new -= 2 + part[1 - side]
-    if psd_limit and depth == len(plan.steps) - 2:
-        keep = _psd_max(new, plan.cos) <= psd_limit
-        live, new = live[keep], new[keep]
     return live, new
 
 
 def _a_ceiling(plan: _Plan, order: np.ndarray, state: np.ndarray, part: np.ndarray,
                psd_limit: float) -> Tuple[np.ndarray, ...]:
-    """_score_state's PSD cut at the A side's last step, taken once for all
-    children of a state one B step above it, which share A's row and partial
-    PAF: the positions in ``order`` it keeps and their completed PAF_A.  For
+    """The PSD cut at the A side's last step, taken once for all children of
+    a state one B step above it, which share A's row and partial PAF: the
+    positions in ``order`` whose completed PAF_A has _psd_max <= ``psd_limit``
+    (all of them at math.inf), and that PAF_A.  For
     a batch of states (P × 2 × ℓ, ``part`` P × 2 × ℓ//2) it returns each
     kept row's state index first, in (state, position) order."""
     j = plan.steps[-2][1]
@@ -258,8 +256,8 @@ def _a_ceiling(plan: _Plan, order: np.ndarray, state: np.ndarray, part: np.ndarr
 
 def _a_last_step(ceiling: Tuple[np.ndarray, np.ndarray], part: np.ndarray,
                  limit: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """_score_state at the A side's last step: the joint bound on the rows an
-    _a_ceiling kept, |PAF_A + part_B + 2| <= limit."""
+    """The walk's step at the A side's last step: the joint bound on the rows
+    an _a_ceiling kept, |PAF_A + part_B + 2| <= limit."""
     kept, paf = ceiling
     live = (np.abs(paf + (part[1] + 2)) <= limit).all(1)
     return kept[live], paf[live]
@@ -267,12 +265,12 @@ def _a_last_step(ceiling: Tuple[np.ndarray, np.ndarray], part: np.ndarray,
 
 def _a_last_level(plan: _Plan, order: np.ndarray, states: np.ndarray, part: np.ndarray,
                   parent: np.ndarray, psd_limit: float) -> Tuple[np.ndarray, ...]:
-    """The tail's level at the A side's last step, with the PSD ceiling: the
-    level above is a B step, so the states (F × 2 × ℓ) of one ``parent``
-    (nondecreasing) share A's row and PAF_A.  One _a_ceiling over each
-    parent's first state, then each state's joint bound on the kept rows:
-    what _score_block, then _psd_max, return state by state (state indices,
-    positions in ``order``, int32 PAF_A), in the same order."""
+    """The tail's level at the A side's last step: the level above is a B
+    step, so the states (F × 2 × ℓ) of one ``parent`` (nondecreasing) share
+    A's row and PAF_A.  One _a_ceiling over each parent's first state, then
+    each state's joint bound on the kept rows: what _score_block, then
+    _psd_max, return state by state (state indices, positions in ``order``,
+    int32 PAF_A), in the same order."""
     first = np.diff(parent, prepend=-1) != 0
     g, kept, paf = _a_ceiling(plan, order, states[first], part[first], psd_limit)
     count = np.bincount(g, minlength=first.sum())
@@ -291,12 +289,13 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     Entries are assigned a whole residue class at a time, sides interleaved
     within a class; each class j of a side has exactly (m - row_j)/2 entries
     equal to -1, so every completion compresses to the candidate.  Pruning:
-    the joint PAF interval bound per shift, plus an optional PSD ceiling on
-    the completed A side (_psd_max: a float64 cosine product on its exact
-    PAF, no FFT).  A leaf has no unknown product left, so there the
-    joint bound is PAF_A(s) + PAF_B(s) = -2 on shifts 1..ℓ//2: every leaf
-    reached is a pair and is emitted as it is.  Even ℓ, which has no pair,
-    is refused.
+    the joint PAF interval bound per shift, plus a PSD ceiling on the
+    completed A side (_psd_max: a float64 cosine product on its exact PAF,
+    no FFT).  psd_prune=False sets the ceiling to math.inf, which keeps every
+    option at it by the same code.  A leaf has no unknown product left, so
+    there the joint bound is PAF_A(s) + PAF_B(s) = -2 on shifts 1..ℓ//2:
+    every leaf reached is a pair and is emitted as it is.  Even ℓ, which has
+    no pair, is refused.
 
     The option matrices stay in lex order, shared by every search; a search
     keeps only its seeded option order, as lex indices per depth.  Every
@@ -306,17 +305,17 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     the unknown products depend on the depth only.  The walk scores its one
     state per depth so (_score_state) down to the tail's first depth
     (_tail_start), the A side's last step from one PSD cut per frame above
-    it (_a_ceiling, then _a_last_step); below it, one call scores the whole
-    subtree a level at a time, every surviving state of a level against
-    every option of the next (_score_block, with C_j folded into each
-    class's _tail_options), keeping survivors in (state, option) order,
-    which is preorder.  With the PSD ceiling, the tail's A-side last level
-    takes one PSD cut per parent in the level above and the joint bound per
-    state (_a_last_level).  Each option is one node, in the seeded order, so
-    budgets cut the same tree prefix: a subtree counts its widths times its
-    live states; when the budget or max_solutions cuts inside it, a leaf's
-    preorder rank is its parent's, plus its option index and 1, plus the
-    nodes below earlier live siblings.
+    it (_a_ceiling, then _a_last_step; with one class the root is that
+    step); below it, one call scores the whole subtree a level at a time,
+    every surviving state of a level against every option of the next
+    (_score_block, with C_j folded into each class's _tail_options), keeping
+    survivors in (state, option) order, which is preorder.  The tail's
+    A-side last level takes one PSD cut per parent in the level above and
+    the joint bound per state (_a_last_level).  Each option is one node, in
+    the seeded order, so budgets cut the same tree prefix: a subtree counts
+    its widths times its live states; when the budget or max_solutions cuts
+    inside it, a leaf's preorder rank is its parent's, plus its option index
+    and 1, plus the nodes below earlier live siblings.
     """
     cfg.validate()
     if cfg.strategy != "backtrack":
@@ -336,7 +335,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         orders.append(np.array(perm))
 
     result = SearchResult()
-    psd_limit = cfg.psd_prune and 2 * ell + 2 + PSD_CEILING_TOL  # False: no PSD ceiling
+    psd_limit = 2 * ell + 2 + PSD_CEILING_TOL if cfg.psd_prune else math.inf
     a_last_step = len(steps) - 2  # the A side is complete after it
     tail = _tail_start([len(order) for order in orders])
 
@@ -380,15 +379,15 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         """The walk frame [depth, surviving option indices, their partial PAFs,
         the partial PAFs at entry, survivors walked, options walked, its _a_ceiling]."""
         live, new = (_a_last_step(ceiling, part, slack[depth]) if ceiling else
-                     _score_state(plan, depth, orders[depth], rows[0], part, psd_limit))
+                     _score_state(plan, depth, orders[depth], rows[0], part))
         return [depth, live.tolist(), new, part, 0, 0, None]
 
     def emit_tail(part: np.ndarray) -> Tuple[int, bool]:
         """Score the subtree below the walk's state from the tail's first
         depth on, a level at a time, and emit its leaves in preorder; return
         the nodes it adds and whether the search stops.  At the A side's
-        last step, with the PSD ceiling, _a_last_level scores the level from
-        its states' parents.  From depth len(steps) the subtree is the
+        last step _a_last_level scores the level from its states' parents.
+        From depth len(steps) the subtree is the
         state alone, a leaf of rank 0."""
         # the frontier of states; its leaves once every depth is scored
         leaves, part, size, levels = rows, part[None], 0, []
@@ -397,7 +396,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
                 break
             side, j = steps[depth]
             size += len(leaves) * len(orders[depth])
-            if psd_limit and depth == a_last_step:  # tail <= len(steps) - 3: levels[-1] exists
+            if depth == a_last_step:  # tail <= len(steps) - 3: levels[-1] exists
                 s, o, new = _a_last_level(plan, orders[depth], leaves, part, levels[-1][0],
                                           psd_limit)
             else:
@@ -423,8 +422,9 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     stack = []
     if tail == 0:
         nodes, stop = emit_tail(root)
-    else:
-        stack.append(enter(0, root))
+    else:  # with one class (d = 1) the A side's last step is the root
+        ceiling = None if a_last_step else _a_ceiling(plan, orders[0], rows[0], root, psd_limit)
+        stack.append(enter(0, root, ceiling))
     while stack:
         frame = stack[-1]
         depth, live, new, part, pos, taken, ceiling = frame
@@ -447,7 +447,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         rows[0, side, classes[j]] = chosen(depth, k)
         child = part.copy()
         child[side] = new[pos]
-        if psd_limit and depth + 1 == a_last_step < tail:
+        if depth + 1 == a_last_step < tail:
             if ceiling is None:
                 ceiling = frame[6] = _a_ceiling(plan, orders[a_last_step], rows[0], part, psd_limit)
             if not len(ceiling[0]):  # every option of the child is pruned: count them as a pop
@@ -496,8 +496,8 @@ def _reduce(words: np.ndarray, total: int) -> np.ndarray:
 
 def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
     """Every selection at most once, in search order, as non-empty arrays of
-    keys rank2 · space1 + rank1 (0 <= rank1 < space1): the hints, then the
-    rank-order scan or the seeded sampling, CHUNK indices at a time.
+    at most CHUNK keys rank2 · space1 + rank1 (0 <= rank1 < space1): the
+    hints, then the rank-order scan or the seeded sampling.
 
     Keys are int64, or Python ints (object dtype) when space1 · space2 does
     not fit.  Every hint is checked before the first selection.  Sampling
@@ -517,8 +517,8 @@ def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
     hints = np.array(
         list(dict.fromkeys(rank2 * space1 + rank1 for rank1, rank2 in cfg.hint_codes)), dtype=dtype
     )
-    if hints.size:
-        yield hints
+    for lo in range(0, len(hints), CHUNK):
+        yield hints[lo:lo + CHUNK]
     if cfg.exhaustive:
         # index i is (rank1, rank2) = divmod(i, space2); rank order never
         # repeats, so only the hints need dropping
@@ -554,7 +554,7 @@ def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
             yield np.asarray(keys, dtype=dtype)
 
 
-def _orbit_columns(ell: int, table: OrbitTable, p2: bool, psd: bool) -> Tuple[np.ndarray, np.ndarray]:
+def _orbit_columns(ell: int, table: OrbitTable, p2: bool) -> Tuple[np.ndarray, np.ndarray]:
     """How a selection's masks [ones | twos | never selected] give its
     sequence and its filters, both linear in the masks.
 
@@ -563,29 +563,28 @@ def _orbit_columns(ell: int, table: OrbitTable, p2: bool, psd: bool) -> Tuple[np
     the orbit holding that residue.  Row c of W sums over orbit c's entries
     i: the count in each class i mod 5 (when ``p2``), then cos and sin of
     2π(i + 1)k/ℓ for one frequency k per class of <generators, -1>, on which
-    the PSD is constant (when ``psd``).  O and -O make one class, whose least
-    member is min(O[0], ℓ - O[-1]); r·k is reduced mod ℓ before the angle.
+    the PSD is constant.  O and -O make one class, whose least member is
+    min(O[0], ℓ - O[-1]); r·k is reduced mod ℓ before the angle.
     """
     selectable = table.orbits_by_size.get(1, []) + table.orbits_by_size.get(2, [])
     column = np.full(ell, len(selectable))
     for c, orb in enumerate(selectable):
         column[[r - 1 for r in orb]] = c
     i = np.arange(ell)
-    parts = [i[:, None] % 5 == np.arange(5 * p2)]
-    if psd:
-        reps = sorted({min(o[0], ell - o[-1]) for orbs in table.orbits_by_size.values() for o in orbs})
-        angle = 2 * np.pi / ell * ((i[:, None] + 1) * reps % ell)
-        parts += [np.cos(angle), np.sin(angle)]
+    reps = sorted({min(o[0], ell - o[-1]) for orbs in table.orbits_by_size.values() for o in orbs})
+    angle = 2 * np.pi / ell * ((i[:, None] + 1) * reps % ell)
     member = column == np.arange(len(selectable) + 1)[:, None]
-    w = member @ np.concatenate(parts, 1, dtype=np.float64)
+    w = member @ np.concatenate((i[:, None] % 5 == np.arange(5 * p2), np.cos(angle), np.sin(angle)),
+                                1, dtype=np.float64)
     w.flags.writeable = False  # _orbit_filter squares its product in place
     return column, w
 
 
-def _orbit_filter(ell: int, masks: np.ndarray, w: np.ndarray, p2: bool, psd: bool) -> np.ndarray:
-    """Which selections pass the p2 prefilter and the PSD ceiling, from one
-    float64 GEMM z = Wᵀ @ masksᵀ (_orbit_columns), features × selections,
-    so that both tests reduce over axis 0 of z and square it in place.
+def _orbit_filter(ell: int, masks: np.ndarray, w: np.ndarray, p2: bool, limit: float) -> np.ndarray:
+    """Which selections pass the p2 prefilter (when ``p2``) and the PSD
+    ceiling ``limit`` (math.inf keeps every one), from one float64 GEMM
+    z = Wᵀ @ masksᵀ (_orbit_columns), features × selections, so that both
+    tests reduce over axis 0 of z and square it in place.
 
     p2 is exact: z holds integers of magnitude at most ℓ.  For k != 0,
     DFT_k = -2 Σ ω^(rk) over the selected residues r, so PSD_k = 4(Re² + Im²);
@@ -593,38 +592,57 @@ def _orbit_filter(ell: int, masks: np.ndarray, w: np.ndarray, p2: bool, psd: boo
     pair has PSD <= 2ℓ + 2 at every k != 0, so this and the FFT of the ±1 row
     can only disagree on selections that no pair contains."""
     z = w.T @ masks.T.astype(np.float64)
-    keep = np.ones(len(masks), dtype=bool)
+    half = (len(z) + 5 * p2) // 2
+    re, im = z[5 * p2:half], z[half:]
+    np.square(re, out=re)
+    re += np.square(im, out=im)
+    keep = 4 * re.max(0) <= limit
     if p2:
         m5 = ell // 5
         keep &= ((m5 - 2 * z[:5]) ** 2).sum(0) == 4 * m5 + 1
-    if psd:
-        half = (len(z) + 5 * p2) // 2
-        re, im = z[5 * p2:half], z[half:]
-        np.square(re, out=re)
-        re += np.square(im, out=im)
-        keep &= 4 * re.max(0) <= 2 * ell + 2 + PSD_CEILING_TOL
     return keep
+
+
+def _match(pool: Dict[bytes, list], pafs: np.ndarray, entries: Iterator[tuple],
+           result: SearchResult, want: int) -> Optional[int]:
+    """Add each PAF row (shifts 1..ℓ//2, int32) with its (sequence, codes)
+    entry to ``pool`` in turn, and pair it with every pooled entry whose
+    row is its complement -2 - PAF (the definition of a pair, so never
+    checked again); a self-complementary row is the last entry of its own
+    bucket and pairs with itself there.  Return the index of the row at
+    which ``want`` pairs are reached (want 0: never), or None.  Pool keys
+    are the bytes of C-ordered int32 rows, the rows' and their complements'
+    from one view."""
+    both = np.ascontiguousarray([pafs, -2 - pafs])
+    keyed = both.view(np.dtype((np.void, both.strides[1]))).ravel().tolist()
+    for i, key, comp, entry in zip(itertools.count(), keyed, keyed[len(pafs):], entries):
+        pool.setdefault(key, []).append(entry)
+        for other in pool.get(comp, ()):
+            result.pairs.append((other[0], entry[0]))
+            result.codes.append((other[1], entry[1]))
+        if want and len(result.pairs) >= want:
+            return i
+    return None
 
 
 def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     """Search block sequences built from whole multiplier orbits.
 
-    Stage 1 filters each selection (exact compressed square-sum when 5 | ℓ,
-    then a PSD ceiling); stage 2 matches pool members whose PAF vectors are
-    exact complements, PAF_A + PAF_B = -2, so every match is a pair and is
-    emitted unchecked.  Selections arrive from warm-start hints, then either
-    an exhaustive scan or seeded counter-based sampling without replacement.
-
-    Selections arrive as key arrays from _selections and are decoded and
-    filtered CHUNK at a time: the keys split into ranks (rank1 = key mod
-    space1, rank2 = key // space1) and LexRank masks, both filters run on the
-    masks in orbit space (_orbit_filter: one GEMM per chunk, one frequency
-    per class of <generators, -1>), and ±1 rows, exact integer PAF rows and
-    rank tuples are formed for the survivors only; their pool keys, PAF rows
-    and complements, come as bytes from one view per chunk.  Survivors enter
-    the pool in selection order, so budgets and max_solutions stop at the
-    same selection as one at a time.  Nodes count distinct selections, so
-    the search is exhausted when they reach C(n1, k1)·C(n2, k2).
+    The search is stream → decode → filter → pool.  _selections yields
+    keys, at most CHUNK at a time, from warm-start hints, then either an
+    exhaustive scan or seeded counter-based sampling without replacement.
+    Each batch splits into ranks (rank1 = key mod space1, rank2 = key //
+    space1) and LexRank masks.  Both filters, the exact compressed
+    square-sum when 5 | ℓ and the PSD ceiling (math.inf with psd_prune
+    off), run on the masks in orbit space (_orbit_filter: one GEMM per
+    batch, one frequency per class of <generators, -1>).  The survivors
+    alone get ±1 rows, exact integer PAF rows and codes, and _match pools
+    them in selection order and emits every exact complement, PAF_A + PAF_B
+    = -2, unchecked.  So budgets and max_solutions stop at the same
+    selection as one at a time: the last batch is cut at the budget, and a
+    max_solutions stop counts the selections up to the survivor that
+    reached it.  Nodes count distinct selections, so the search is
+    exhausted when they reach C(n1, k1)·C(n2, k2).
     """
     cfg.validate()
     if cfg.strategy != "orbit_restricted":
@@ -643,57 +661,33 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
             f"selection counts ({k1},{k2}) give block size {k1 + 2 * k2}, need {want}"
         )
     p2 = ell % 5 == 0 and cfg.p2_prefilter
-    column, w = _orbit_columns(ell, table, p2, cfg.psd_prune)
+    limit = 2 * ell + 2 + PSD_CEILING_TOL if cfg.psd_prune else math.inf
+    column, w = _orbit_columns(ell, table, p2)
 
     result = SearchResult()
-    pool: Dict[bytes, List[int]] = {}  # PAF at shifts 1..ℓ//2 -> pool indices
-    pool_seqs: List[Tuple[int, ...]] = []
-    pool_codes: List[dict] = []
+    pool: Dict[bytes, list] = {}  # PAF at shifts 1..ℓ//2 -> (sequence, codes) entries
     space1 = math.comb(n1, k1)
-    stream = _selections(cfg, n1, n2)
-    keys = np.zeros(0, dtype=np.int64)  # drawn from the stream, not yet searched
-    nodes, stop, rest = 0, False, 0
-    while not stop and nodes < cfg.budget_nodes:
-        if not keys.size:
-            keys = next(stream, keys)
-            if not keys.size:
-                break
-        take = min(CHUNK, cfg.budget_nodes - nodes)
-        batch, keys = keys[:take], keys[take:]
+    nodes = 0
+    for batch in _selections(cfg, n1, n2):
+        batch = batch[:cfg.budget_nodes - nodes]
         ranks1, ranks2 = batch % space1, batch // space1
         twos = lex_unrank_masks(n2, k2, ranks2) if n2 else np.zeros((len(batch), 0), dtype=bool)
         masks = np.concatenate((lex_unrank_masks(n1, k1, ranks1), twos,
                                 np.zeros((len(batch), 1), dtype=bool)), 1)
-        live = np.flatnonzero(_orbit_filter(ell, masks, w, p2, cfg.psd_prune))
-        if not live.size:
-            nodes += len(batch)
-            continue
-        rows = 1 - 2 * masks[live][:, column].view(np.int8)
-        pafs = paf_rows(rows.astype(np.int32), ell // 2 + 1)[:, 1:]  # |PAF| <= ℓ
-        # pool keys: the survivors' PAF rows, then their complements, each
-        # as the bytes of a C-ordered int32 row (what tobytes gives)
-        both = np.ascontiguousarray([pafs, -2 - pafs])
-        keyed = both.view(np.dtype((np.void, both.strides[1]))).ravel().tolist()
-        survivors = zip(live.tolist(), ranks1[live].tolist(), ranks2[live].tolist(),
-                        map(tuple, rows.tolist()), keyed, keyed[len(live):])
-
-        for i, rank1, rank2, seq, pkey, ckey in survivors:
-            codes = {1: (n1, k1, rank1)}
-            if n2:
-                codes[2] = (n2, k2, rank2)
-            pool.setdefault(pkey, []).append(len(pool_seqs))
-            pool_seqs.append(seq)
-            pool_codes.append(codes)
-            # a complementary key is PAF_A + PAF_B = -2 on shifts 1..ℓ//2, the
-            # definition of a pair; a self-complementary entry is the last
-            # member of its own bucket and pairs with itself there
-            for other in pool.get(ckey, ()):
-                result.pairs.append((pool_seqs[other], seq))
-                result.codes.append((pool_codes[other], codes))
-            if cfg.max_solutions and len(result.pairs) >= cfg.max_solutions:
-                stop, rest = True, len(batch) - i - 1
+        live = np.flatnonzero(_orbit_filter(ell, masks, w, p2, limit))
+        if live.size:  # most ℓ=55 and ℓ=85 batches have no survivor
+            rows = 1 - 2 * masks[live][:, column].view(np.int8)
+            pafs = paf_rows(rows.astype(np.int32), ell // 2 + 1)[:, 1:]  # |PAF| <= ℓ
+            codes = [{1: (n1, k1, rank1), 2: (n2, k2, rank2)} if n2 else {1: (n1, k1, rank1)}
+                     for rank1, rank2 in zip(ranks1[live].tolist(), ranks2[live].tolist())]
+            last = _match(pool, pafs, zip(map(tuple, rows.tolist()), codes), result,
+                          cfg.max_solutions)
+            if last is not None:
+                nodes += int(live[last]) + 1
                 break
-        nodes += len(batch) - rest
+        nodes += len(batch)
+        if nodes == cfg.budget_nodes:
+            break
 
     result.nodes_visited = nodes
     # nodes count distinct selections, so all were searched exactly when

@@ -550,10 +550,22 @@ def reachable_state(plan, depth, rng):
     return state, part.astype(np.int32)
 
 
+def score_state_and_ceiling(plan, depth, order, state, part, psd_limit):
+    """The walk's step with the PSD ceiling taken state by state:
+    _score_state, then at the A side's last step _psd_max on its
+    survivors."""
+    live, new = decompress._score_state(plan, depth, order, state, part)
+    if depth == len(plan.steps) - 2:
+        keep = decompress._psd_max(new, plan.cos) <= psd_limit
+        live, new = live[keep], new[keep]
+    return live, new
+
+
 class TestScoreState:
-    """The walk's step (_score_state) against _score_block with one state
-    followed, at the A side's last step, by _psd_max: the same survivor
-    positions in the seeded order and the same int32 partial PAFs."""
+    """The walk's step (_score_state, then _psd_max at the A side's last
+    step) against _score_block with one state, then _psd_max: the same
+    survivor positions in the seeded order and the same int32 partial
+    PAFs."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -587,10 +599,9 @@ class TestScoreState:
         limits[depth] = slack
         plan = plan._replace(slack=limits)
         order = rng.permutation(len(options))  # a search's option order
-        psd_limit = 2 * ell + 2 + decompress.PSD_CEILING_TOL
+        psd_limit = 2 * ell + 2 + decompress.PSD_CEILING_TOL if psd_prune else np.inf
 
-        live, new = decompress._score_state(plan, depth, order, state, part,
-                                            psd_prune and psd_limit)
+        live, new = score_state_and_ceiling(plan, depth, order, state, part, psd_limit)
 
         q = decompress._tail_options(ell, 5, j, (m - (cand.a, cand.b)[side][j]) // 2)
         s, o, ref = decompress._score_block(q, order, state[None, side], part[None], side,
@@ -619,15 +630,15 @@ class TestScoreState:
         part = np.stack([partial_paf(state[0], nshifts), partial_paf(state[1], nshifts)])
         order = np.arange(len(plan.options[depth]))
         args = plan, depth, order, state, part.astype(np.int32)
-        every, _ = decompress._score_state(*args, 0)
-        kept, _ = decompress._score_state(*args, 2 * 25 + 2 + decompress.PSD_CEILING_TOL)
+        every, _ = decompress._score_state(*args)
+        kept, _ = score_state_and_ceiling(*args, 2 * 25 + 2 + decompress.PSD_CEILING_TOL)
         assert len(every) == len(order) > len(kept)
 
 
 class TestACeiling:
     """The walk's A-side last step from the frame one B step above it:
     _a_ceiling once per frame, then _a_last_step per child, against
-    _score_state on each child's state."""
+    _score_state and _psd_max on each child's state."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -656,7 +667,7 @@ class TestACeiling:
         rng = np.random.default_rng(seed)
         state, part = reachable_state(plan, above, rng)
         orders = [rng.permutation(len(plan.options[d])) for d in (above, depth)]
-        children, pafs = decompress._score_state(plan, above, orders[0], state, part, psd_limit)
+        children, pafs = decompress._score_state(plan, above, orders[0], state, part)
         assert len(children) == len(orders[0])
 
         ceiling = decompress._a_ceiling(plan, orders[1], state, part, psd_limit)
@@ -668,7 +679,7 @@ class TestACeiling:
             child[1, plan.classes[j]] = plan.options[above][orders[0][pos], :m]
             child_part[1] = paf_b
             live, new = decompress._a_last_step(ceiling, child_part, limits[depth])
-            ref, ref_new = decompress._score_state(plan, depth, orders[1], child, child_part,
+            ref, ref_new = score_state_and_ceiling(plan, depth, orders[1], child, child_part,
                                                    psd_limit)
             np.testing.assert_array_equal(live, ref)
             assert np.all(np.diff(live) > 0)  # positions in the seeded order
@@ -692,9 +703,9 @@ class TestACeiling:
 
     @pytest.mark.parametrize("psd_prune", [True, False])
     def test_walk_scores_no_a_side_last_step(self, monkeypatch, psd_prune):
-        """With the PSD ceiling, a 4,000-node ℓ=45 search makes no _score_state
-        call at the A side's last step, but reaches it through _a_ceiling;
-        with no ceiling it scores that step as every other."""
+        """A 4,000-node ℓ=45 search makes no _score_state call at the A
+        side's last step, but reaches it through _a_ceiling, with the PSD
+        ceiling on or off (math.inf: it keeps every option)."""
         cand = cached_candidates(9)[0]
         depth = len(decompress._plan(45, cand.a, cand.b).steps) - 2
         calls = defaultdict(int)  # _score_state calls per depth, and _a_ceiling's
@@ -712,10 +723,7 @@ class TestACeiling:
         monkeypatch.setattr(decompress, "_a_ceiling", counting_a_ceiling)
         uncompress_search(45, cand, SearchConfig(seed=1, budget_nodes=4000, psd_prune=psd_prune))
         assert calls[depth - 1] > 0
-        if psd_prune:
-            assert calls[depth] == 0 < calls["ceiling"]
-        else:
-            assert calls[depth] > 0 == calls["ceiling"]
+        assert calls[depth] == 0 < calls["ceiling"]
 
 
 def per_state_a_last_level(plan, ell, cand, order, states, part, psd_limit):
@@ -802,10 +810,9 @@ class TestALastLevel:
     @pytest.mark.parametrize("psd_prune", [True, False])
     def test_tail_scores_no_a_side_last_step(self, monkeypatch, ell, ci, seed, budget,
                                              psd_prune):
-        """With the PSD ceiling, the batched tail makes no _score_block call
-        at the A side's last step, and takes one _a_ceiling row per parent
-        there, fewer than its states; with no ceiling it scores that step as
-        every other."""
+        """The batched tail makes no _score_block call at the A side's last
+        step, and takes one _a_ceiling row per parent there (_a_last_level),
+        fewer than its states, with the PSD ceiling on or off."""
         cand = cached_candidates(ell // 5)[ci]
         plan = decompress._plan(ell, cand.a, cand.b)
         m = ell // 5
@@ -833,11 +840,8 @@ class TestALastLevel:
         uncompress_search(ell, cand, SearchConfig(seed=seed, budget_nodes=budget,
                                                   psd_prune=psd_prune))
         assert calls["states"] > 0
-        if psd_prune:
-            assert calls["a_last"] == 0
-            assert 0 < calls["ceiling"] == calls["parents"] < calls["states"]
-        else:
-            assert calls["a_last"] > 0 == calls["ceiling"]
+        assert calls["a_last"] == 0
+        assert 0 < calls["ceiling"] == calls["parents"] < calls["states"]
 
 
 class TestDftCeiling:
@@ -1118,6 +1122,22 @@ class TestOrbitSearch:
         assert [len(c) for c in chunks[1:]] == [511, 512, 510, 512]
         assert sum(chunks[1:], []) == [k for k in keys if k not in chunks[0]]
 
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_arrays_hold_at_most_chunk_keys(self, monkeypatch, exhaustive):
+        """The stream yields at most CHUNK keys per array, hints included,
+        and still checks every hint before the first one."""
+        monkeypatch.setattr(decompress, "CHUNK", 2)
+        hints = ((3000, 0), (7, 0), (1, 0), (3000, 0), (0, 0), (5, 0))
+        cfg = block_cfg(15, exhaustive=exhaustive, seed=3, budget_nodes=10**7, hint_codes=hints)
+        chunks = [c.tolist() for c in decompress._selections(cfg, 14, 0)]
+        assert max(map(len, chunks)) == 2
+        keys = sum(chunks, [])
+        assert keys[:5] == [3000, 7, 1, 0, 5]  # with no 2-orbits a key is its rank1
+        assert sorted(keys) == list(range(math.comb(14, 7)))
+        bad = block_cfg(15, exhaustive=exhaustive, hint_codes=hints + ((5000, 0),))
+        with pytest.raises(GroupError, match="rank 5000 out of range"):
+            next(decompress._selections(bad, 14, 0))
+
     def test_budget_draws_no_key_past_it(self, monkeypatch):
         """A 30-selection sampled search draws 30 keys, not a whole chunk."""
         drawn = []
@@ -1195,7 +1215,7 @@ class TestOrbitFilter:
         table = orbits(ell, gens)
         n1, n2 = table.class_count(1), table.class_count(2)
         p2 = ell % 5 == 0
-        column, w = decompress._orbit_columns(ell, table, p2, True)
+        column, w = decompress._orbit_columns(ell, table, p2)
         assert not w.flags.writeable  # _orbit_filter squares in place
         # one frequency per orbit of <generators, -1>: 26 at ℓ=85, 14 at ℓ=45
         classes = orbits(ell, gens + (ell - 1,)).orbits_by_size.values()
@@ -1216,12 +1236,17 @@ class TestOrbitFilter:
             compressed = rows.reshape(len(rows), ell // 5, 5).sum(1)
             np.testing.assert_array_equal(ell // 5 - 2 * z[:, :5], compressed)
             old &= (compressed * compressed).sum(1) == 4 * (ell // 5) + 1
+        p2_pass = old.copy()
         re, im = np.split(z[:, 5 * p2:], 2, axis=1)
         psd = psd_vector(rows)[:, 1:].max(1)
         np.testing.assert_allclose(4 * (re * re + im * im).max(1), psd, rtol=0, atol=1e-9)
-        old &= psd <= 2 * ell + 2 + decompress.PSD_CEILING_TOL
-        keep = decompress._orbit_filter(ell, masks, w, p2, True)
+        limit = 2 * ell + 2 + decompress.PSD_CEILING_TOL
+        old &= psd <= limit
+        keep = decompress._orbit_filter(ell, masks, w, p2, limit)
         np.testing.assert_array_equal(keep, old)
+        # psd_prune off: an infinite ceiling leaves the p2 test alone
+        np.testing.assert_array_equal(decompress._orbit_filter(ell, masks, w, p2, math.inf),
+                                      p2_pass)
         if ell == 85:
             assert keep[count:].all()
 
@@ -1333,12 +1358,13 @@ class TestOrbitPinned:
     @pytest.mark.parametrize("name", [
         "l21-scan-max1", "l21-scan-budget1300", "l15-hints-dup-budget", "l15-sample-exhausted",
         "l21-sample", "l71-sample", "l15-exhaustive-p2-nopsd", "l15-exhaustive-p2",
-        "l21-scan-max50",
+        "l21-scan-max50", "l85-hints-sample", "l15-hints-dup",
     ])
     def test_chunk_size_invariant(self, monkeypatch, chunk, name):
         """Any chunk size gives the pinned results: a max_solutions or budget
         stop inside a chunk, hints with repeats, sampling to exhaustion, repeat
         draws across chunks, object keys, p2 with and without the PSD
-        ceiling, a max_solutions stop after many chunks."""
+        ceiling, a max_solutions stop after many chunks, hints split across
+        chunks."""
         monkeypatch.setattr(decompress, "CHUNK", chunk)
         self.test_pinned(name)
