@@ -242,9 +242,9 @@ def _a_ceiling(plan: _Plan, order: np.ndarray, state: np.ndarray, part: np.ndarr
     """The PSD cut at the A side's last step, taken once for all children of
     a state one B step above it, which share A's row and partial PAF: the
     positions in ``order`` whose completed PAF_A has _psd_max <= ``psd_limit``
-    (all of them at math.inf), and that PAF_A.  For
-    a batch of states (P × 2 × ℓ, ``part`` P × 2 × ℓ//2) it returns each
-    kept row's state index first, in (state, position) order."""
+    (all of them at math.inf), and that PAF_A.  For a batch of states
+    (P × 2 × ℓ, ``part`` P × 2 × ℓ//2) it returns each kept row's state
+    index first, in (state, position) order."""
     j = plan.steps[-2][1]
     row = state[..., 0, :]
     gain = row[..., plan.plus[j]] + row[..., plan.minus[j]]

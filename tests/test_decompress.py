@@ -1125,7 +1125,7 @@ class TestOrbitSearch:
     @pytest.mark.parametrize("exhaustive", [True, False])
     def test_arrays_hold_at_most_chunk_keys(self, monkeypatch, exhaustive):
         """The stream yields at most CHUNK keys per array, hints included,
-        and still checks every hint before the first one."""
+        and still checks every hint before the first array."""
         monkeypatch.setattr(decompress, "CHUNK", 2)
         hints = ((3000, 0), (7, 0), (1, 0), (3000, 0), (0, 0), (5, 0))
         cfg = block_cfg(15, exhaustive=exhaustive, seed=3, budget_nodes=10**7, hint_codes=hints)
