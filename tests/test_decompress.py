@@ -726,6 +726,45 @@ class TestACeiling:
         assert calls[depth] == 0 < calls["ceiling"]
 
 
+# The dfs_scan_l45 benchmark's candidates: x in (6, 12) at m = 9.
+SCAN_X = (6, 12)
+# Per (scan candidate, seed): each depth-7 frame the ℓ=45 walk completes
+# within 33,000 nodes, as (its last live child's pre-visit count, its total).
+# The frame of candidate 1, seed 2 at 20,125 and that of candidate 3, seed 0
+# have an A-side ceiling that keeps options; every other one keeps none.
+SCAN_FRAMES = {
+    (0, 0): ((15_882, 16_009), (31_885, 32_012)),
+    (0, 2): ((15_882, 16_009), (31_885, 32_012)),
+    (1, 0): ((10_548, 10_675), (21_217, 21_344), (31_886, 32_013)),
+    (1, 2): ((19_872, 20_125), (30_667, 30_794)),
+    (2, 0): ((15_882, 16_009), (31_885, 32_012)),
+    (2, 2): ((15_882, 16_009), (31_885, 32_012)),
+    (3, 0): ((25_626, 25_837),),
+    (3, 2): ((15_882, 16_009),),
+}
+
+
+class TestScanBudgetSweep:
+    """ℓ=45 searches on the scan candidates, cut one node around each
+    depth-7 frame's last child and its end, and at budgets through the
+    first frame: pairs, nodes_visited and exhaustion pinned by one digest."""
+
+    def test_pinned_digest(self):
+        cands = [c for c in cached_candidates(9) if c.x in SCAN_X]
+        assert len(cands) == 4
+        h = hashlib.sha256()
+        for (ci, seed), frames in SCAN_FRAMES.items():
+            cuts = sorted({n + e for frame in frames for n in frame for e in (-1, 0, 1)})
+            for budget in list(range(1, 6_001, 53)) + cuts:
+                res = uncompress_search(45, cands[ci], SearchConfig(seed=seed,
+                                                                    budget_nodes=budget))
+                h.update(f"{ci},{seed},{budget}:{res.nodes_visited},{res.exhausted},"
+                         f"{pairs_sha256(res.pairs)}\n".encode())
+        assert h.hexdigest() == (
+            "df9d0acc3a85330097795383142ca75a8797bad563f299d5ea33060c1c066e1f"
+        )
+
+
 def per_state_a_last_level(plan, ell, cand, order, states, part, psd_limit):
     """The batched tail's A-side last step scored state by state:
     _score_block on each block of states, then _psd_max on its survivors."""
