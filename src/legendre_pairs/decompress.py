@@ -184,40 +184,49 @@ class _Plan(NamedTuple):
     cos: np.ndarray  # cos 2π(s·k mod ℓ)/ℓ, s and k = 1..ℓ//2, for _psd_max
 
 
-def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
-    """The search plan of candidate (a, b) at odd length ℓ."""
-    d = len(a)
-    if len(b) != d or d == 0 or ell % d != 0:
-        raise SearchConfigError(f"candidate shape {d} does not divide ℓ={ell}")
-    m = ell // d
-    negs = (_negative_counts(a, m), _negative_counts(b, m))
-
+@functools.lru_cache(maxsize=64)
+def _grid(ell: int, d: int) -> Tuple[np.ndarray, ...]:
+    """The plan's classes, plus, minus, own and cos, which depend on (ℓ, d)
+    alone.  Read-only: every search at ℓ with d classes shares them."""
+    m, nshifts = ell // d, ell // 2
     classes = np.arange(ell).reshape(m, d).T
-    # most-constrained-first: fewest subset choices first
-    order = sorted(
-        range(d), key=lambda j: (math.comb(m, negs[0][j]) * math.comb(m, negs[1][j]), j)
-    )
-    steps = tuple((side, j) for j in order for side in (0, 1))
-    nshifts = ell // 2
     shifts = np.arange(1, nshifts + 1)
     plus = (classes[:, :, None] + shifts) % ell
     minus = (classes[:, :, None] - shifts) % ell
     laps = nshifts // d
     own = np.zeros((laps, nshifts))
     own[np.arange(laps), np.arange(d - 1, nshifts, d)] = 1
+    cos = np.cos(2 * np.pi / ell * (shifts[:, None] * shifts % ell))
+    for x in (classes, plus, minus, own, cos):
+        x.flags.writeable = False
+    return classes, plus, minus, own, cos
+
+
+def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
+    """The search plan of candidate (a, b) at odd length ℓ."""
+    d = len(a)
+    if len(b) != d or d == 0 or ell % d != 0:
+        raise SearchConfigError(f"candidate shape {d} does not divide ℓ={ell}")
+    m, nshifts = ell // d, ell // 2
+    negs = (_negative_counts(a, m), _negative_counts(b, m))
+    classes, plus, minus, own, cos = _grid(ell, d)
+
+    # most-constrained-first: fewest subset choices first
+    order = sorted(
+        range(d), key=lambda j: (math.comb(m, negs[0][j]) * math.comb(m, negs[1][j]), j)
+    )
+    steps = tuple((side, j) for j in order for side in (0, 1))
 
     # product a_i·a_(i+s) of a side is known from the later of the steps that
-    # assign i and i + s; the bound's limit after a step is the count unknown
-    at = np.empty((2, ell), dtype=np.intp)
-    sides, js = zip(*steps)
-    at[np.array(sides)[:, None], classes[list(js)]] = np.arange(len(steps))[:, None]
-    known = np.maximum(at[:, :, None], at[:, (np.arange(ell)[:, None] + shifts) % ell])
-    fixed = np.bincount((known * nshifts + shifts - 1).ravel(), minlength=len(steps) * nshifts)
-    slack = 2 * ell - fixed.reshape(len(steps), nshifts).cumsum(0, dtype=np.int64)
-    options = tuple(_options(m, negs[side][j], laps) for side, j in steps)
-
-    cos = np.cos(2 * np.pi / ell * (shifts[:, None] * shifts % ell))
-    cos.flags.writeable = False
+    # assign i and i + s; the bound's limit after a step is the count unknown.
+    # Both steps depend on the classes alone, and each class has m entries
+    at = np.empty((2, d), dtype=np.intp)
+    at[:, order] = np.arange(2 * d).reshape(d, 2).T
+    known = np.maximum(at[:, :, None], at[:, plus[:, 0] % d])
+    fixed = np.bincount((known * nshifts + np.arange(nshifts)).ravel(),
+                        minlength=len(steps) * nshifts)
+    slack = 2 * ell - m * fixed.reshape(len(steps), nshifts).cumsum(0, dtype=np.int64)
+    options = tuple(_options(m, negs[side][j], nshifts // d) for side, j in steps)
     return _Plan(steps, classes, plus, minus, own, slack, options, cos)
 
 
@@ -237,21 +246,29 @@ def _score_state(plan: _Plan, depth: int, order: np.ndarray, state: np.ndarray,
     return live, new
 
 
-def _a_ceiling(plan: _Plan, order: np.ndarray, state: np.ndarray, part: np.ndarray,
-               psd_limit: float) -> Tuple[np.ndarray, ...]:
+def _a_ceiling(plan: _Plan, state: np.ndarray, part: np.ndarray,
+               psd_limit: float) -> Tuple[np.ndarray, np.ndarray]:
     """The PSD cut at the A side's last step, taken once for all children of
-    a state one B step above it, which share A's row and partial PAF: the
-    positions in ``order`` whose completed PAF_A has _psd_max <= ``psd_limit``
-    (all of them at math.inf), and that PAF_A.  For a batch of states
-    (P × 2 × ℓ, ``part`` P × 2 × ℓ//2) it returns each kept row's state
-    index first, in (state, position) order."""
+    a state one B step above it, which share A's row and partial PAF: which
+    options, in lex order, have a completed PAF_A with _psd_max <=
+    ``psd_limit`` (all of them at math.inf), and every option's PAF_A
+    (float64, exact).  For a batch of states (P × 2 × ℓ, ``part`` P × 2 ×
+    ℓ//2) both gain a leading state axis.  No seeded order is needed until
+    _in_order takes the kept rows."""
     j = plan.steps[-2][1]
     row = state[..., 0, :]
     gain = row[..., plan.plus[j]] + row[..., plan.minus[j]]
     own = np.broadcast_to(plan.own, gain.shape[:-2] + plan.own.shape)
-    paf = plan.options[-2][order, :-1] @ np.concatenate((gain, own), -2) + part[..., None, 0, :]
-    keep = _psd_max(paf, plan.cos) <= psd_limit
-    return (*keep.nonzero(), paf[keep].astype(np.int32))
+    paf = plan.options[-2][:, :-1] @ np.concatenate((gain, own), -2) + part[..., None, 0, :]
+    return _psd_max(paf, plan.cos) <= psd_limit, paf
+
+
+def _in_order(order: np.ndarray, keep: np.ndarray, paf: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """An _a_ceiling's kept rows in the search's ``order`` (the lex index of
+    each position): their positions and int32 PAF_A, with each row's state
+    index first for a batch, in (state, position) order."""
+    *state, at = keep[..., order].nonzero()
+    return (*state, at, paf[(*state, order[at])].astype(np.int32))
 
 
 def _a_last_step(ceiling: Tuple[np.ndarray, np.ndarray], part: np.ndarray,
@@ -272,7 +289,7 @@ def _a_last_level(plan: _Plan, order: np.ndarray, states: np.ndarray, part: np.n
     _psd_max, return state by state (state indices, positions in ``order``,
     int32 PAF_A), in the same order."""
     first = np.diff(parent, prepend=-1) != 0
-    g, kept, paf = _a_ceiling(plan, order, states[first], part[first], psd_limit)
+    g, kept, paf = _in_order(order, *_a_ceiling(plan, states[first], part[first], psd_limit))
     count = np.bincount(g, minlength=first.sum())
     group = first.cumsum() - 1
     n = count[group]  # a state's rows are its parent's kept rows
@@ -297,16 +314,20 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     every leaf reached is a pair and is emitted as it is.  Even ℓ, which has
     no pair, is refused.
 
-    The option matrices stay in lex order, shared by every search; a search
-    keeps only its seeded option order, as lex indices per depth.  Every
-    option of a depth is scored at once by an exact float64 product: the PAF
-    gain of option v in class j is ``v @ C_j`` plus a term of v alone at
-    shifts ≡ 0 (mod d), with ``C_j[t, s] = row[i_t + s] + row[i_t - s]``;
-    the unknown products depend on the depth only.  The walk scores its one
-    state per depth so (_score_state) down to the tail's first depth
-    (_tail_start), the A side's last step from one PSD cut per frame above
-    it (_a_ceiling, then _a_last_step; with one class the root is that
-    step); below it, one call scores the whole subtree a level at a time,
+    The option matrices stay in lex order, shared by every search, like the
+    plan's per-(ℓ, d) tables (_grid); a search keeps only its seeded option
+    order, as lex indices per depth, each drawn on first use in depth order
+    (the same shuffles as drawing all of them up front).  Every option of a
+    depth is scored at once by an exact float64 product: the PAF gain of
+    option v in class j is ``v @ C_j`` plus a term of v alone at shifts ≡ 0
+    (mod d), with ``C_j[t, s] = row[i_t + s] + row[i_t - s]``; the unknown
+    products depend on the depth only.  The walk scores its one state per
+    depth so (_score_state) down to the tail's first depth (_tail_start),
+    the A side's last step from one PSD cut per frame above it (_a_ceiling
+    in lex order, then _a_last_step; with one class the root is that step).
+    A frame whose cut keeps nothing is counted whole in one step, its live
+    children's subtrees included, and draws no order for them.  From the
+    tail's first depth, one call scores the whole subtree a level at a time,
     every surviving state of a level against every option of the next
     (_score_block, with C_j folded into each class's _tail_options), keeping
     survivors in (state, option) order, which is preorder.  The tail's
@@ -327,20 +348,25 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     m, nshifts = plus.shape[1:]
 
     rng = random.Random(cfg.seed)
-    orders = []  # per depth, the lex index of each option in the seeded order
-    for x in options:
-        # shuffle's swaps depend only on the length: the seeded option order
-        perm = list(range(len(x)))
-        rng.shuffle(perm)
-        orders.append(np.array(perm))
+    orders = []  # per depth drawn so far, the lex index of each option in the seeded order
+
+    def seeded(depth: int) -> np.ndarray:
+        """A depth's seeded option order, drawn on first use after those of
+        the depths above it: shuffle's swaps depend only on the length."""
+        while len(orders) <= depth:
+            perm = list(range(len(options[len(orders)])))
+            rng.shuffle(perm)
+            orders.append(np.array(perm))
+        return orders[depth]
 
     result = SearchResult()
     psd_limit = 2 * ell + 2 + PSD_CEILING_TOL if cfg.psd_prune else math.inf
     a_last_step = len(steps) - 2  # the A side is complete after it
-    tail = _tail_start([len(order) for order in orders])
+    tail = _tail_start([len(x) for x in options])
 
     def chosen(depth: int, o) -> np.ndarray:
-        """The ±1 values of the options at positions o of a depth's order."""
+        """The ±1 values of the options at positions o of a depth's order,
+        which is drawn: the positions came from it."""
         return options[depth][orders[depth][o], :m]
 
     def level(depth: int, states: np.ndarray, part: np.ndarray):
@@ -349,7 +375,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         survivors in (state, option) order as state indices, option indices
         and their scored side's partial PAFs."""
         side, j = steps[depth]
-        order = orders[depth]
+        order = seeded(depth)
         q = _tail_options(ell, len(cand.a), j, (m - (cand.a, cand.b)[side][j]) // 2)
         chunk = max(1, TAIL_BLOCK // (len(order) * nshifts))
         found = []
@@ -363,7 +389,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         """Preorder rank of each leaf of a subtree, its root ranked 0."""
         below = [np.zeros(len(levels[-1][0]) if levels else 1, dtype=np.int64)]
         for i in range(len(levels) - 1, 0, -1):  # nodes below each survivor
-            b = np.full(len(levels[i - 1][0]), len(orders[tail + i]), dtype=np.int64)
+            b = np.full(len(levels[i - 1][0]), len(options[tail + i]), dtype=np.int64)
             np.add.at(b, levels[i][0], below[0])
             below.insert(0, b)
         rank = np.zeros(1, dtype=np.int64)
@@ -375,11 +401,19 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     rows = np.zeros((1, 2, ell), dtype=np.int8)  # the walk's state
     nodes, budget, stop = 0, cfg.budget_nodes, False
 
+    def a_ceiling(part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """_a_ceiling on the walk's state, its kept rows as positions in the
+        seeded order of the A side's last step, drawn only if it keeps one."""
+        keep, paf = _a_ceiling(plan, rows[0], part, psd_limit)
+        if keep.any():
+            return _in_order(seeded(a_last_step), keep, paf)
+        return np.empty(0, dtype=np.intp), paf[:0]
+
     def enter(depth: int, part: np.ndarray, ceiling=None) -> list:
         """The walk frame [depth, surviving option indices, their partial PAFs,
-        the partial PAFs at entry, survivors walked, options walked, its _a_ceiling]."""
+        the partial PAFs at entry, survivors walked, options walked, its a_ceiling]."""
         live, new = (_a_last_step(ceiling, part, slack[depth]) if ceiling else
-                     _score_state(plan, depth, orders[depth], rows[0], part))
+                     _score_state(plan, depth, seeded(depth), rows[0], part))
         return [depth, live.tolist(), new, part, 0, 0, None]
 
     def emit_tail(part: np.ndarray) -> Tuple[int, bool]:
@@ -395,9 +429,9 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             if not len(leaves):
                 break
             side, j = steps[depth]
-            size += len(leaves) * len(orders[depth])
+            size += len(leaves) * len(options[depth])
             if depth == a_last_step:  # tail <= len(steps) - 3: levels[-1] exists
-                s, o, new = _a_last_level(plan, orders[depth], leaves, part, levels[-1][0],
+                s, o, new = _a_last_level(plan, seeded(depth), leaves, part, levels[-1][0],
                                           psd_limit)
             else:
                 s, o, new = level(depth, leaves, part)
@@ -423,14 +457,23 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     if tail == 0:
         nodes, stop = emit_tail(root)
     else:  # with one class (d = 1) the A side's last step is the root
-        ceiling = None if a_last_step else _a_ceiling(plan, orders[0], rows[0], root, psd_limit)
-        stack.append(enter(0, root, ceiling))
+        stack.append(enter(0, root, None if a_last_step else a_ceiling(root)))
     while stack:
         frame = stack[-1]
         depth, live, new, part, pos, taken, ceiling = frame
         side, j = steps[depth]
-        if pos == len(live):  # only pruned options remain at this depth
-            nodes += len(orders[depth]) - taken
+        if depth + 1 == a_last_step < tail and pos < len(live):
+            if ceiling is None:
+                ceiling = frame[6] = a_ceiling(part)
+            if not len(ceiling[0]):
+                # every live child's options are pruned: count their subtrees
+                # with the frame's rest.  Each child's pre-visit count is
+                # below this total, so it stops at the budget exactly when
+                # counting child by child would
+                nodes += (len(live) - pos) * len(options[a_last_step])
+                pos = len(live)
+        if pos == len(live):  # only pruned options, or children counted above, remain
+            nodes += len(options[depth]) - taken
             if nodes > budget:
                 nodes, stop = budget, True
                 break
@@ -447,15 +490,6 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         rows[0, side, classes[j]] = chosen(depth, k)
         child = part.copy()
         child[side] = new[pos]
-        if depth + 1 == a_last_step < tail:
-            if ceiling is None:
-                ceiling = frame[6] = _a_ceiling(plan, orders[a_last_step], rows[0], part, psd_limit)
-            if not len(ceiling[0]):  # every option of the child is pruned: count them as a pop
-                nodes += len(orders[a_last_step])
-                if nodes > budget:
-                    nodes, stop = budget, True
-                    break
-                continue
         if depth + 1 < tail:
             stack.append(enter(depth + 1, child, ceiling))
             continue

@@ -670,7 +670,8 @@ class TestACeiling:
         children, pafs = decompress._score_state(plan, above, orders[0], state, part)
         assert len(children) == len(orders[0])
 
-        ceiling = decompress._a_ceiling(plan, orders[1], state, part, psd_limit)
+        ceiling = decompress._in_order(orders[1],
+                                       *decompress._a_ceiling(plan, state, part, psd_limit))
         if psd == "every":
             assert len(ceiling[0]) == len(orders[1])
         m, j = plan.plus.shape[1], plan.steps[above][1]
@@ -700,6 +701,29 @@ class TestACeiling:
         for budget, exhausted in ((total, True), (total - 1, False)):
             res = walk_search(15, cand, SearchConfig(seed=seed, budget_nodes=budget))
             assert (res.nodes_visited, res.exhausted) == (budget, exhausted)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(1, 60_000),
+        max_solutions=st.sampled_from([0, 1, 2, 50, 400]),
+    )
+    def test_walk_counts_a_pruned_frame_by_the_next_width(self, seed, budget, max_solutions):
+        """d = 3 at ℓ=15 (m = 5), the 5-compression rows of an ℓ=15 pair: the
+        A side's last step (depth 4, 10 options) is wider than the B step
+        above it (depth 3, 5 options), and the walk counts about 150 frames
+        there whose ceiling keeps nothing.  It agrees with the batched tail,
+        which scores depths 1-5 level by level; the tree has 58,060 nodes
+        and 800 pairs."""
+        cand = CandidatePair(a=(-1, 1, 1), b=(1, -3, 3), ell=15, m=5)
+        assert [len(x) for x in decompress._plan(15, cand.a, cand.b).options][3:5] == [5, 10]
+        cfg = SearchConfig(seed=seed, budget_nodes=budget, max_solutions=max_solutions)
+        res, walk = uncompress_search(15, cand, cfg), walk_search(15, cand, cfg)
+        assert res.pairs == walk.pairs
+        assert res.nodes_visited == walk.nodes_visited
+        assert res.exhausted == walk.exhausted
+        full = uncompress_search(15, cand, SearchConfig(seed=seed))
+        assert (full.nodes_visited, len(full.pairs)) == (58_060, 800)
 
     @pytest.mark.parametrize("psd_prune", [True, False])
     def test_walk_scores_no_a_side_last_step(self, monkeypatch, psd_prune):
@@ -765,6 +789,80 @@ class TestScanBudgetSweep:
         )
 
 
+def drawn_orders(monkeypatch):
+    """Record every list random.Random.shuffle leaves, in call order."""
+    drawn, shuffle = [], random.Random.shuffle
+
+    def spy(self, x):
+        shuffle(self, x)
+        drawn.append(list(x))
+
+    monkeypatch.setattr(random.Random, "shuffle", spy)
+    return drawn
+
+
+class TestSeededOrders:
+    """A search draws each depth's seeded option order on first use, in depth
+    order, and pays nothing below a frame whose A-side ceiling keeps none."""
+
+    @pytest.mark.parametrize("psd_prune", [True, False])
+    def test_all_pruned_frame_draws_no_deeper_order(self, monkeypatch, psd_prune):
+        """A 4,000-node ℓ=45 search cut inside its first depth-7 frame,
+        whose ceiling keeps no option (SCAN_FRAMES): one _a_ceiling call, no
+        _a_last_step call, and no order drawn for depths 8 and 9.  With the
+        ceiling off (math.inf) it keeps every option, and both are drawn."""
+        cand = [c for c in cached_candidates(9) if c.x in SCAN_X][0]
+        widths = [len(x) for x in decompress._plan(45, cand.a, cand.b).options]
+        calls = defaultdict(int)
+        a_ceiling, a_last_step = decompress._a_ceiling, decompress._a_last_step
+
+        def counting_a_ceiling(*args):
+            calls["ceiling"] += 1
+            return a_ceiling(*args)
+
+        def counting_a_last_step(*args):
+            calls["last_step"] += 1
+            return a_last_step(*args)
+
+        monkeypatch.setattr(decompress, "_a_ceiling", counting_a_ceiling)
+        monkeypatch.setattr(decompress, "_a_last_step", counting_a_last_step)
+        drawn = drawn_orders(monkeypatch)
+        res = uncompress_search(45, cand, SearchConfig(seed=0, budget_nodes=4000,
+                                                       psd_prune=psd_prune))
+        assert (res.nodes_visited, res.exhausted) == (4000, False)
+        assert calls["ceiling"] == 1
+        if psd_prune:
+            assert calls["last_step"] == 0
+            assert [len(x) for x in drawn] == widths[:8]
+        else:
+            assert calls["last_step"] > 0
+            assert [len(x) for x in drawn] == widths
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        target=st.sampled_from([(15, 0), (15, 1), (25, 0), (25, 2), (35, 0),
+                                (45, 0), (45, 1), (45, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(1, 20_000),
+        psd_prune=st.booleans(),
+    )
+    def test_drawn_orders_are_a_prefix(self, target, seed, budget, psd_prune):
+        """The orders a search draws are the first of the per-depth shuffles
+        drawn all up front from the same seed."""
+        ell, ci = target
+        cand = cached_candidates(ell // 5)[ci]
+        eager, rng = [], random.Random(seed)
+        for x in decompress._plan(ell, cand.a, cand.b).options:
+            perm = list(range(len(x)))
+            rng.shuffle(perm)
+            eager.append(perm)
+        with pytest.MonkeyPatch.context() as mp:
+            drawn = drawn_orders(mp)
+            uncompress_search(ell, cand, SearchConfig(seed=seed, budget_nodes=budget,
+                                                      psd_prune=psd_prune))
+        assert drawn == eager[:len(drawn)]
+
+
 def per_state_a_last_level(plan, ell, cand, order, states, part, psd_limit):
     """The batched tail's A-side last step scored state by state:
     _score_block on each block of states, then _psd_max on its survivors."""
@@ -821,8 +919,8 @@ class TestALastLevel:
             # options and one whose ceiling keeps none, where 30 draws find it
             for _ in range(30):
                 state, part = reachable_state(plan, above, rng)
-                kept = decompress._a_ceiling(plan, order, state, part, psd_limit)[0]
-                if (len(kept) > 0) == (psd == "every" or p % 2 == 0):
+                keep = decompress._a_ceiling(plan, state, part, psd_limit)[0]
+                if keep.any() == (psd == "every" or p % 2 == 0):
                     break
             width = len(b_options)
             for o in np.sort(rng.choice(width, rng.integers(min(2, width), width + 1), False)):
@@ -870,9 +968,9 @@ class TestALastLevel:
                 calls["parents"] += len(np.unique(s))
             return s, o, new
 
-        def counting_a_ceiling(plan, order, state, *args):
+        def counting_a_ceiling(plan, state, *args):
             calls["ceiling"] += len(state)  # at ℓ=25 and 35 only the tail calls it
-            return a_ceiling(plan, order, state, *args)
+            return a_ceiling(plan, state, *args)
 
         monkeypatch.setattr(decompress, "_score_block", counting_score_block)
         monkeypatch.setattr(decompress, "_a_ceiling", counting_a_ceiling)
@@ -950,6 +1048,22 @@ def loop_slack(plan, ell):
     return slack
 
 
+def element_slack(plan, ell):
+    """The joint bound's limit per depth and shift from the (2, ℓ, ℓ//2)
+    element grid: the product of entries i and i + s of a side is known
+    from the later of the steps that assign them.  The reference for
+    _plan's (2, d, ℓ//2) class grid, where each class stands for m entries."""
+    nshifts = ell // 2
+    shifts = np.arange(1, nshifts + 1)
+    at = np.empty((2, ell), dtype=np.intp)
+    sides, js = zip(*plan.steps)
+    at[np.array(sides)[:, None], plan.classes[list(js)]] = np.arange(len(plan.steps))[:, None]
+    known = np.maximum(at[:, :, None], at[:, (np.arange(ell)[:, None] + shifts) % ell])
+    fixed = np.bincount((known * nshifts + shifts - 1).ravel(),
+                        minlength=len(plan.steps) * nshifts)
+    return 2 * ell - fixed.reshape(len(plan.steps), nshifts).cumsum(0, dtype=np.int64)
+
+
 class TestPlanSlack:
     """_plan's unknown-product limits equal the step-by-step count, dtype
     included, for every d=5 candidate up to ℓ=45 and the even m=2 shapes."""
@@ -973,6 +1087,28 @@ class TestPlanSlack:
         plan = decompress._plan(ell, a, b)
         assert plan.slack.dtype == np.int64
         np.testing.assert_array_equal(plan.slack, loop_slack(plan, ell))
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9])
+    def test_class_grid_matches_element_grid(self, m):
+        for cand in cached_candidates(m):
+            plan = decompress._plan(5 * m, cand.a, cand.b)
+            np.testing.assert_array_equal(plan.slack, element_slack(plan, 5 * m))
+
+    @pytest.mark.parametrize("ell", [7, 11, 15, 25, 35, 45])
+    def test_class_grid_matches_element_grid_one_class(self, ell):
+        """d = 1: one class of m = ℓ entries, one -1 per side."""
+        plan = decompress._plan(ell, (ell - 2,), (ell - 2,))
+        np.testing.assert_array_equal(plan.slack, element_slack(plan, ell))
+
+    def test_tables_are_shared_read_only(self):
+        """Plans at one (ℓ, d) share their classes, plus, minus, own and cos,
+        and none of them takes a write."""
+        first, second = (decompress._plan(45, c.a, c.b) for c in cached_candidates(9)[:2])
+        for name in ("classes", "plus", "minus", "own", "cos"):
+            x = getattr(first, name)
+            assert getattr(second, name) is x
+            with pytest.raises(ValueError, match="read-only"):
+                x[(0,) * x.ndim] = 0
 
 
 def oracle_block_pairs(ell):
