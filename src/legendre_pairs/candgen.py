@@ -45,28 +45,25 @@ class CandidatePair:
             raise ValueError("recorded x does not match PAF(1)-PAF(2)")
 
 
-def _rotations_and_reversals(t: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    d = len(t)
-    rots = [t[i:] + t[:i] for i in range(d)]
-    return rots + [tuple(reversed(r)) for r in rots]
+def _least_image(t: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The per-side canonical form: the least rotation or reversal of t."""
+    rots = [t[i:] + t[:i] for i in range(len(t))]
+    return min(rots + [r[::-1] for r in rots])
 
 
 def _canonical_key(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Least (x>=0 preferred) representative under per-side rotation/reversal
-    and side swap."""
-    best = None
-    for first, second in ((a, b), (b, a)):
-        x_first = paf(first, 1) - paf(first, 2)
-        if x_first < 0:
-            continue
-        for fa in _rotations_and_reversals(first):
-            for fb in _rotations_and_reversals(second):
-                cand = (fa, fb)
-                if best is None or cand < best:
-                    best = cand
-    if best is None:  # both orientations give x<0: impossible (swap negates x)
-        raise AssertionError("empty canonical orbit")
-    return best
+    """Least image under per-side rotation/reversal and side swap, over the
+    orientations whose first side has x >= 0.
+
+    Lex order compares the first side first, so the least image of a pair
+    is the pair of its sides' least images.
+    """
+    la, lb = _least_image(a), _least_image(b)
+    keys = [key for key, first in (((la, lb), a), ((lb, la), b))
+            if paf(first, 1) - paf(first, 2) >= 0]
+    if not keys:  # complementary sides have opposite x
+        raise ValueError("sides are not complementary: both have x < 0")
+    return min(keys)
 
 
 def canonicalize(pair: CandidatePair) -> CandidatePair:
@@ -81,7 +78,9 @@ def candidates_d5(m: int, x_filter: Optional[Set[int]] = None) -> List[Candidate
 
     Both sides range over unit-sum signed arrangements of the all-odd
     five-square solutions of 4m+1; pairs are kept when the joint PAF deficit
-    is exactly -2m at shifts 1 and 2 (shifts 3,4 follow by symmetry).
+    is exactly -2m at shifts 1 and 2 (shifts 3,4 follow by symmetry).  PAF
+    is invariant under rotation and reversal, so each side is taken once, as
+    its least image, and its partners are one lookup by (PAF(1), PAF(2)).
     """
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be a positive odd integer, got {m}")
@@ -89,25 +88,18 @@ def candidates_d5(m: int, x_filter: Optional[Set[int]] = None) -> List[Candidate
     for sol in odd_five_squares(m):
         if admits_unit_sum(sol):
             tuples.update(signed_orderings(sol))
-    ordered = sorted(tuples)
-    profiles = [(t, paf(t, 1), paf(t, 2)) for t in ordered]
+    by_profile: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
+    for t in {_least_image(t) for t in tuples}:
+        by_profile.setdefault((paf(t, 1), paf(t, 2)), []).append(t)
     target = -2 * m
-    seen: Set[Tuple[Tuple[int, ...], Tuple[int, ...]]] = set()
-    out: List[CandidatePair] = []
-    for a, pa1, pa2 in profiles:
-        for b, pb1, pb2 in profiles:
-            if pa1 + pb1 != target or pa2 + pb2 != target:
-                continue
-            key = _canonical_key(a, b)
-            if key in seen:
-                continue
-            seen.add(key)
-            x = paf(key[0], 1) - paf(key[0], 2)
-            if x_filter is not None and x not in x_filter:
-                continue
-            out.append(CandidatePair(a=key[0], b=key[1], ell=5 * m, m=m, x=x))
-    out.sort(key=lambda p: (p.a, p.b))
-    return out
+    keys: Set[Tuple[Tuple[int, ...], Tuple[int, ...]]] = set()
+    for (p1, p2), firsts in by_profile.items():
+        for a in firsts:
+            for b in by_profile.get((target - p1, target - p2), ()):
+                keys.add(_canonical_key(a, b))
+    out = [CandidatePair(a=a, b=b, ell=5 * m, m=m, x=paf(a, 1) - paf(a, 2))
+           for a, b in sorted(keys)]
+    return [p for p in out if x_filter is None or p.x in x_filter]
 
 
 @dataclass

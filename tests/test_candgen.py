@@ -1,7 +1,11 @@
 """Candidate generation: d=5 completeness at desk scale, canonical dedup,
 and the general constraint-list generator."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legendre_pairs.candgen import (
     CandidatePair,
@@ -10,11 +14,59 @@ from legendre_pairs.candgen import (
     candidates_d5,
     candidates_general,
     canonicalize,
-    _canonical_key,
 )
 from legendre_pairs.diophantine import admits_unit_sum, odd_five_squares, signed_orderings
 from legendre_pairs.refdata import ell87
 from legendre_pairs.seqcore import paf, psd
+
+
+# (count, digest) of candidates_d5(m) for every odd m <= 39
+CANDIDATE_PINS = {
+    1: (1, "c928f32e51143ed8b11f8f2751fd2161aa8f8b05fbec1a9737a816b45e374b03"),
+    3: (2, "5f1a9c00990bc5dfd0c858cf54fbe7a0f19de73a6fd8ae0c2669592caaba7918"),
+    5: (3, "e8ae5431726a47a2a8c1eb2c5af18104312265bfbd3cc46891705b39172a459e"),
+    7: (3, "b43ca359fa846d48feb737a117f0964d0fef709eb46c51be7b1438851cb65097"),
+    9: (8, "039f94932444882873f02527110693ca6a64be772cfd1ed55b593edcf28721f2"),
+    11: (5, "cbf130c68bb87f35b5a433f4aa7dc4065333752eeaa0620dda027fc843141905"),
+    13: (8, "7a9d14aaa8b4c0cbbec84170558fbca0ee6cee9083f1b4bd7d72df8ec679d20e"),
+    15: (7, "ccb76c22c268333431386aaac1d49c628d9f3fd44ebeef493079b21f98cf3cce"),
+    17: (13, "faaf73352702d05aa948b94d3cdc16d79492abebc75a70aa8eef23bc5457c13b"),
+    19: (8, "97a49a5e1d8a9cf8a6812e170cff184a6769d7c5ace42e6d61c378b67ceb1b2a"),
+    21: (17, "2358831bf8c02cd7c7a5d17a1da07e21c36869c197c7800f72aef6ab93a6ee1d"),
+    23: (12, "be64f03ae9df986c24d3d2ab479fd5640ecfb230cf7eba1d1568b4563bd7c2ea"),
+    25: (16, "237a329cc1fdff57753a59d8c155f0b37f5efc9334ee241b175833fcc799387e"),
+    27: (14, "34652a84bd5feec600ab3eb6dd3ae2f3de6863d1601dc7bab6ab17907263d4be"),
+    29: (26, "05195e7e89939a08227c95d201c0df0fe6d9aabeec4319eeb057bd6354304c6d"),
+    31: (8, "65e6fe310de8f5ed927a1519b2218c58ca7770256f21a45d121eefd494383be1"),
+    33: (29, "d257b07ef973d4beb39b47e5d1d02403572f8b061bd04c0ea2e034487db99c81"),
+    35: (25, "2a630296b6ecf8bfd3ad846aa1f1d5555131fb220cdc4388e405ec2a71a116d6"),
+    37: (24, "04ff0cb549996daaf1ee2d4ad59be5fb85d1554002593fbc4ab57eb3abea99a3"),
+    39: (18, "e7e888460ad9e7fcdd86f0adbd6c7fb00b1c327b9493a18cd78d7b1720cb44db"),
+}
+
+
+def candidate_digest(cands):
+    lines = "\n".join(
+        f"{','.join(map(str, c.a))};{','.join(map(str, c.b))};{c.x}" for c in cands
+    )
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def _images(t):
+    rots = [t[i:] + t[:i] for i in range(len(t))]
+    return rots + [tuple(reversed(r)) for r in rots]
+
+
+def brute_key(a, b):
+    """Oracle key: the least of all 100 per-side rotation/reversal images of
+    each orientation whose first side has x >= 0."""
+    return min(
+        (fa, fb)
+        for first, second in ((a, b), (b, a))
+        if paf(first, 1) - paf(first, 2) >= 0
+        for fa in _images(first)
+        for fb in _images(second)
+    )
 
 
 def brute_force_d5(m):
@@ -27,7 +79,7 @@ def brute_force_d5(m):
     for a in tuples:
         for b in tuples:
             if all(paf(a, s) + paf(b, s) == -2 * m for s in (1, 2)):
-                canonical.add(_canonical_key(a, b))
+                canonical.add(brute_key(a, b))
     return canonical
 
 
@@ -53,6 +105,24 @@ class TestCandidatesD5:
     def test_completeness_against_oracle_m5(self):
         got = {(p.a, p.b) for p in candidates_d5(5)}
         assert got == brute_force_d5(5)
+
+    @pytest.mark.parametrize("m", range(1, 14, 2))
+    def test_list_matches_oracle(self, m):
+        want = [(a, b, paf(a, 1) - paf(a, 2)) for a, b in sorted(brute_force_d5(m))]
+        assert [(p.a, p.b, p.x) for p in candidates_d5(m)] == want
+
+    def test_pinned_lists(self):
+        # count and sha256 over the "a;b;x" lines of candidates_d5(m), in
+        # returned order, recorded from the all-pairs generator
+        for m, (count, digest) in CANDIDATE_PINS.items():
+            cands = candidates_d5(m)
+            assert (len(cands), candidate_digest(cands)) == (count, digest), m
+
+    def test_x_filter_is_subset(self):
+        for m in range(1, 40, 2):
+            full = candidates_d5(m)
+            xs = sorted({p.x for p in full})[::2] + [2]
+            assert candidates_d5(m, set(xs)) == [p for p in full if p.x in xs]
 
     def test_invariants_rechecked(self):
         for m in (1, 3, 5, 7):
@@ -91,6 +161,9 @@ class TestCandidatesD5:
         assert (canon.a, canon.b) in keys
 
 
+ALL_CANDIDATES = [c for m in range(1, 18, 2) for c in candidates_d5(m)]
+
+
 class TestCanonicalize:
     def pair(self):
         return CandidatePair(a=(1, 3, 3, 1, -7), b=(3, 1, 1, 3, -7), ell=85, m=17, x=36)
@@ -118,6 +191,36 @@ class TestCanonicalize:
         swapped = CandidatePair(a=p.b, b=p.a, ell=p.ell, m=p.m, x=-p.x)
         assert canonicalize(swapped) == canonicalize(p)
         assert canonicalize(p).x >= 0
+
+    def test_x_zero_takes_least_orientation(self):
+        # at x = 0 both orientations qualify; for m <= 39 only m=35 has
+        # such candidates with a != b
+        for cand in (c for m in range(1, 40, 2) for c in candidates_d5(m) if c.x == 0):
+            swapped = CandidatePair(a=cand.b, b=cand.a, ell=cand.ell, m=cand.m)
+            assert canonicalize(swapped) == cand
+
+    def test_non_complementary_sides_rejected(self):
+        # both sides have x = -4, so no orientation has a first side x >= 0
+        side = (1, -1, 1, 1, -1)
+        with pytest.raises(ValueError, match="not complementary"):
+            canonicalize(CandidatePair(a=side, b=side, ell=5, m=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        index=st.integers(min_value=0),
+        shifts=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        flips=st.tuples(st.booleans(), st.booleans()),
+        swap=st.booleans(),
+    )
+    def test_images_match_oracle(self, index, shifts, flips, swap):
+        cand = ALL_CANDIDATES[index % len(ALL_CANDIDATES)]
+        sides = []
+        for t, s, flip in zip((cand.a, cand.b), shifts, flips):
+            t = t[s:] + t[:s]
+            sides.append(tuple(reversed(t)) if flip else t)
+        a, b = sides[::-1] if swap else sides
+        assert brute_key(a, b) == (cand.a, cand.b)
+        assert canonicalize(CandidatePair(a=a, b=b, ell=cand.ell, m=cand.m)) == cand
 
 
 class TestGenerationProfile:
@@ -205,7 +308,7 @@ class TestCandidatesGeneral:
         keys = {(p.a, p.b) for p in candidates_d5(3)}
         seen = set()
         for p in candidates_general(profile):
-            seen.add(_canonical_key(p.a, p.b))
+            seen.add(brute_key(p.a, p.b))
         assert seen == keys
 
     def test_determinism_per_seed(self):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from legendre_pairs import cli
+from legendre_pairs.candgen import candidates_d5
 from legendre_pairs.cli import main
 from legendre_pairs.decompress import SearchResult
 from legendre_pairs.refdata import ell87
@@ -235,6 +236,16 @@ class TestPipelineAndFiles:
         assert main(["candidates", "--ell", "15", "--x", "8", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert [p["x"] for p in payload["pairs"]] == [8]
+
+    def test_candidates_l165_match_library(self, tmp_path):
+        want = [{"a": list(c.a), "b": list(c.b), "x": c.x} for c in candidates_d5(33)]
+        out = tmp_path / "c165.json"
+        assert main(["candidates", "--ell", "165", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pairs"] == want
+        xs = [4, 60, 148]
+        assert main(["candidates", "--ell", "165", "--out", str(out),
+                     "--x", *map(str, xs)]) == 0
+        assert json.loads(out.read_text())["pairs"] == [p for p in want if p["x"] in xs]
 
     def test_decompress_parallel_jobs_match_serial(self, tmp_path, monkeypatch):
         cands = tmp_path / "c.json"
