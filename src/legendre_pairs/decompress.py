@@ -300,6 +300,18 @@ def _a_last_level(plan: _Plan, order: np.ndarray, states: np.ndarray, part: np.n
     return s[live], kept[e[live]], rows[live]
 
 
+def _shuffled(rng: random.Random, w: int) -> List[int]:
+    """range(w) in rng.shuffle's order, from the same words: shuffle with _randbelow inlined."""
+    perm, bits = list(range(w)), rng.getrandbits
+    for n in range(w, 1, -1):
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        perm[n - 1], perm[r] = perm[r], perm[n - 1]
+    return perm
+
+
 def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> SearchResult:
     """Depth-first search for ±1 pairs whose m-compressions equal (cand.a, cand.b).
 
@@ -317,7 +329,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     The option matrices stay in lex order, shared by every search, like the
     plan's per-(ℓ, d) tables (_grid); a search keeps only its seeded option
     order, as lex indices per depth, each drawn on first use in depth order
-    (the same shuffles as drawing all of them up front).  Every option of a
+    (_shuffled: shuffle's swaps, the same as drawing all up front).  Every option of a
     depth is scored at once by an exact float64 product: the PAF gain of
     option v in class j is ``v @ C_j`` plus a term of v alone at shifts ≡ 0
     (mod d), with ``C_j[t, s] = row[i_t + s] + row[i_t - s]``; the unknown
@@ -351,12 +363,10 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     orders = []  # per depth drawn so far, the lex index of each option in the seeded order
 
     def seeded(depth: int) -> np.ndarray:
-        """A depth's seeded option order, drawn on first use after those of
-        the depths above it: shuffle's swaps depend only on the length."""
+        """A depth's seeded option order, drawn by _shuffled on first use after
+        those of the depths above it: the swaps depend only on the length."""
         while len(orders) <= depth:
-            perm = list(range(len(options[len(orders)])))
-            rng.shuffle(perm)
-            orders.append(np.array(perm))
+            orders.append(np.array(_shuffled(rng, len(options[len(orders)]))))
         return orders[depth]
 
     result = SearchResult()

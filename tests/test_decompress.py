@@ -790,15 +790,57 @@ class TestScanBudgetSweep:
 
 
 def drawn_orders(monkeypatch):
-    """Record every list random.Random.shuffle leaves, in call order."""
-    drawn, shuffle = [], random.Random.shuffle
+    """Record every order decompress._shuffled draws, in call order."""
+    drawn, shuffled = [], decompress._shuffled
 
-    def spy(self, x):
-        shuffle(self, x)
-        drawn.append(list(x))
+    def spy(rng, w):
+        perm = shuffled(rng, w)
+        drawn.append(perm)
+        return perm
 
-    monkeypatch.setattr(random.Random, "shuffle", spy)
+    monkeypatch.setattr(decompress, "_shuffled", spy)
     return drawn
+
+
+SHUFFLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, -7)
+# every width to 300, each side of the powers of two to 2**15, and the
+# widest depth at ℓ=85 (C(17, 8) options)
+SHUFFLE_WIDTHS = sorted(set(range(301)) | {2**k + e for k in range(1, 16) for e in (-1, 0, 1)}
+                        | {math.comb(17, 8)})
+SHUFFLE_PINS = ("every DFS pin depends on _shuffled leaving CPython's random.shuffle order "
+                "and drawing the same Mersenne Twister words")
+
+
+def reference_shuffle(rng, w):
+    """range(w) shuffled by rng.shuffle: the reference for _shuffled."""
+    perm = list(range(w))
+    rng.shuffle(perm)
+    return perm
+
+
+class TestShuffled:
+    """decompress._shuffled against random.Random.shuffle on range(w): the
+    same order and the same words drawn, width by width and along one rng
+    drawing a search's sequence of depths."""
+
+    @pytest.mark.parametrize("seed", SHUFFLE_SEEDS)
+    def test_each_width(self, seed):
+        for w in SHUFFLE_WIDTHS:
+            ours, ref = random.Random(seed), random.Random(seed)
+            assert decompress._shuffled(ours, w) == reference_shuffle(ref, w), (
+                f"order differs at w={w}: {SHUFFLE_PINS}")
+            assert ours.getstate() == ref.getstate(), f"words differ at w={w}: {SHUFFLE_PINS}"
+
+    @pytest.mark.parametrize("seed", SHUFFLE_SEEDS)
+    def test_word_stream_continues_across_depths(self, seed):
+        pick = random.Random(f"widths {seed}")
+        widths = [pick.choice((0, 1, 2, 9, 126, 4096, 4097, pick.randrange(1, 1000)))
+                  for _ in range(60)] + [math.comb(17, 8)]
+        ours, ref = random.Random(seed), random.Random(seed)
+        for i, w in enumerate(widths):
+            assert decompress._shuffled(ours, w) == reference_shuffle(ref, w), (
+                f"order differs at draw {i} (w={w}): {SHUFFLE_PINS}")
+        assert ours.getstate() == ref.getstate(), SHUFFLE_PINS
 
 
 class TestSeededOrders:
@@ -860,6 +902,7 @@ class TestSeededOrders:
             drawn = drawn_orders(mp)
             uncompress_search(ell, cand, SearchConfig(seed=seed, budget_nodes=budget,
                                                       psd_prune=psd_prune))
+        assert drawn
         assert drawn == eager[:len(drawn)]
 
 
