@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,12 +106,21 @@ def _lex_tail(t: int) -> Tuple[np.ndarray, np.ndarray]:
     return rows, start
 
 
+# A space of at most this many k-subsets, of at most 32 elements, is decoded
+# by one lookup in a table of its subsets: at most 1 MiB, 0.55 MB at (20, 10).
+_TABLE_ROWS = 2**18
+
+
 @functools.lru_cache(maxsize=64)
-def _lex_groups(n: int, k: int) -> Tuple[Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...], int]:
+def _lex_groups(n: int, k: int) -> Tuple[Tuple[Tuple[np.ndarray, ...], ...], np.ndarray, Optional[np.ndarray]]:
     """Decode tables of lex_unrank_masks: one per head group of 8 elements,
-    and the length of the tail that _lex_tail decodes: 5 to 12 elements, or
-    all n when n <= 12.  (A 16-element tail raised ℓ=85 peak memory by ≈8%
-    while it built its 65,536 rows.)
+    then the _lex_tail rows and starts of a tail of 5 to 12 elements, or all
+    n when n <= 12.  (A 16-element tail raised ℓ=85 peak memory by ≈8% while
+    it built its 65,536 rows.)  When the k-subsets of all n elements fit one
+    table (C(n, k) <= _TABLE_ROWS and n <= 32), the result is instead no head
+    group, that table as packed rows in lex order (a rank is its row) and
+    start None.  The head-group decode builds the table 4,096 ranks at a
+    time, so building it holds little more than the table.
 
     In lex order the k-subsets that agree on a group are contiguous, their
     8-bit patterns (bit 7 = the group's first element) in descending order,
@@ -148,35 +157,52 @@ def _lex_groups(n: int, k: int) -> Tuple[Tuple[Tuple[np.ndarray, np.ndarray, np.
         for t in tables:
             t.flags.writeable = False
         groups.append(tables)
-    return tuple(groups), n - head
+    tail, start = _lex_tail(n - head)
+    if total > _TABLE_ROWS or n > 32:
+        return tuple(groups), tail, start
+    table = np.empty((total, -(-n // 8)), dtype=np.uint8)
+    for lo in range(0, total, 4096):
+        table[lo:lo + 4096] = _unrank_packed(k, total, groups, tail, start,
+                                             np.arange(lo, min(lo + 4096, total)))
+    table.flags.writeable = False
+    return (), table, None
 
 
-def lex_unrank_masks(n: int, k: int, ranks: Sequence[int]) -> np.ndarray:
-    """Batched lex_unrank: row r is the membership mask of the ranks[r]-th
-    k-subset of {1..n}, with column v-1 set when element v is in it.
-
-    Decodes 8 elements per numpy pass, one searchsorted per head group, then
-    the tail by one lookup in _lex_tail (_lex_groups): one pass at (16, 12)
-    and (20, 10), three at (34, 15).  Exact integer work: ranks are int64
-    when the decode state fits and Python ints (object dtype) otherwise.
-    """
-    if k < 0 or k > n:
-        raise GroupError(f"subset size {k} out of range for universe {n}")
-    total = math.comb(n, k)
-    groups, t = _lex_groups(n, k)
-    r = np.array(ranks, dtype=groups[0][0].dtype if groups else np.int64).reshape(-1)
-    bad = (r < 0) | (r >= total)
-    if bad.any():
-        raise GroupError(f"rank {r[bad.argmax()]} out of range [0, {total})")
+def _unrank_packed(k: int, total: int, groups: Sequence[Tuple[np.ndarray, ...]], tail: np.ndarray,
+                   start: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Packed rows of the subsets of ranks r, by _lex_groups' head groups
+    and tail."""
     q = r + k * (total + 1)
-    tail, start = _lex_tail(t)
     packed = np.empty((len(r), len(groups) + tail.shape[1]), dtype=np.uint8)
     for g, (end, step, byte) in enumerate(groups):
         at = np.searchsorted(end, q, side="right")
         packed[:, g] = byte[at]
         q = q - step[at]
     left = (q // (total + 1)).astype(np.intp)
-    packed[:, len(groups):] = tail[start[left] + (q % (total + 1)).astype(np.intp)]
+    packed[:, len(groups):] = tail.take(start[left] + (q % (total + 1)).astype(np.intp), axis=0)
+    return packed
+
+
+def lex_unrank_masks(n: int, k: int, ranks: Sequence[int]) -> np.ndarray:
+    """Batched lex_unrank: row r is the membership mask of the ranks[r]-th
+    k-subset of {1..n}, with column v-1 set when element v is in it.
+
+    A space of at most _TABLE_ROWS subsets of at most 32 elements takes one
+    lookup in the table of its subsets, as (16, 12) and (20, 10) do.  A
+    larger one decodes 8 elements per numpy pass, one searchsorted per head
+    group, then the tail by one lookup in _lex_tail (_lex_groups): three
+    passes at (34, 15).  Exact integer work: ranks are int64 when the decode
+    state fits and Python ints (object dtype) otherwise.
+    """
+    if k < 0 or k > n:
+        raise GroupError(f"subset size {k} out of range for universe {n}")
+    total = math.comb(n, k)
+    groups, tail, start = _lex_groups(n, k)
+    r = np.array(ranks, dtype=groups[0][0].dtype if groups else np.int64).reshape(-1)
+    bad = (r < 0) | (r >= total)
+    if bad.any():
+        raise GroupError(f"rank {r[bad.argmax()]} out of range [0, {total})")
+    packed = tail.take(r, axis=0) if start is None else _unrank_packed(k, total, groups, tail, start, r)
     return np.unpackbits(packed, axis=1, count=n).view(bool)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legendre_pairs import decompress
+from legendre_pairs import decompress, grouptools
 from legendre_pairs.candgen import CandidatePair, candidates_d5
 from legendre_pairs.decompress import (
     SearchConfig,
@@ -1570,6 +1570,26 @@ class TestOrbitPinned:
         assert orbit_sha256(res) == digest
         # matches are emitted unchecked
         assert all(verify_legendre_pair(A, B).is_legendre_pair for A, B in res.pairs)
+
+    def test_repeated_interleaved_searches(self):
+        """Searches that share the cached set-up (_orbit_setup) and decode
+        tables (_lex_groups), each run twice with the others in between, give
+        the same pairs, codes, nodes_visited and exhausted: a cache hit that
+        differed from a miss, or a shared array changed in place, would show.
+        The first round starts with both caches empty; ℓ=25 runs with p2 on
+        and off."""
+        cases = [ORBIT_CASES["l21-scan"](), ORBIT_CASES["l85-hints-sample"](),
+                 (25, block_cfg(25, seed=1, budget_nodes=20_000)),
+                 (25, block_cfg(25, seed=1, budget_nodes=20_000, p2_prefilter=False))]
+        decompress._orbit_setup.cache_clear()
+        grouptools._lex_groups.cache_clear()
+        rounds = [[orbit_search(ell, cfg) for ell, cfg in cases] for _ in range(2)]
+        for first, again in zip(*rounds):
+            assert (first.pairs, first.codes, first.nodes_visited, first.exhausted) == \
+                (again.pairs, again.codes, again.nodes_visited, again.exhausted)
+        assert [orbit_sha256(res) for res in rounds[1][:2]] == [
+            ORBIT_PINS["l21-scan"][3], ORBIT_PINS["l85-hints-sample"][3]]
+        assert [len(res.pairs) for res in rounds[1]] == [756, 4, 10, 11]
 
     # 1 and 7 split chunks at many places, 256 at half of CHUNK
     @pytest.mark.parametrize("chunk", [1, 7, 256, decompress.CHUNK])

@@ -25,6 +25,27 @@ from legendre_pairs.refdata import ell85
 from legendre_pairs.seqcore import compress, verify_legendre_pair
 
 
+@pytest.fixture
+def no_table(monkeypatch):
+    """Decode by head groups wherever they apply, as a space too large for
+    one table is decoded."""
+    monkeypatch.setattr(grouptools, "_TABLE_ROWS", 0)
+    grouptools._lex_groups.cache_clear()
+    yield
+    grouptools._lex_groups.cache_clear()
+
+
+def every_subset_mask(n, k):
+    """The k-subsets of n elements as mask rows in lex order, the order of
+    itertools.combinations."""
+    total = math.comb(n, k)
+    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+                          dtype=np.intp, count=total * k).reshape(total, k)
+    want = np.zeros((total, n), dtype=bool)
+    np.put_along_axis(want, subsets, True, axis=1)
+    return want
+
+
 class TestOrbits:
     def test_multiplier_69_mod_85(self):
         table = orbits(85, [69])
@@ -122,31 +143,41 @@ class TestLexRank:
                 self.assert_masks_decode(n, k, list(range(math.comb(n, k))))
 
     @pytest.mark.parametrize("n", [8, 9, 16, 17])
-    def test_masks_every_rank_at_group_boundaries(self, n):
-        """Every rank of every k where the 8-element decode groups end, or
-        leave one element over; itertools.combinations is in lex order."""
+    def test_masks_every_rank_at_group_boundaries(self, n, no_table):
+        """Every rank of every k, decoded by head groups, where the 8-element
+        groups end or leave one element over."""
         for k in range(n + 1):
-            want = np.zeros((math.comb(n, k), n), dtype=bool)
-            for rank, subset in enumerate(itertools.combinations(range(n), k)):
-                want[rank, list(subset)] = True
-            assert (lex_unrank_masks(n, k, range(len(want))) == want).all()
+            assert (lex_unrank_masks(n, k, range(math.comb(n, k))) == every_subset_mask(n, k)).all()
 
     @pytest.mark.parametrize("n, t", [(12, 12), (13, 5), (20, 12), (21, 5)])
-    def test_masks_every_rank_at_tail_edges(self, n, t):
-        """Every rank of every k where the directly decoded tail of t
-        elements covers all n, first follows a head group, spans 12 and then
-        5 elements; itertools.combinations is in lex order."""
+    def test_masks_every_rank_at_tail_edges(self, n, t, no_table):
+        """Every rank of every k, decoded by head groups, where the directly
+        decoded tail of t elements covers all n, first follows a head group,
+        spans 12 and then 5 elements."""
         for k in range(n + 1):
-            assert grouptools._lex_groups(n, k)[1] == t
-            total = math.comb(n, k)
-            subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                                  dtype=np.intp, count=total * k).reshape(total, k)
-            want = np.zeros((total, n), dtype=bool)
-            np.put_along_axis(want, subsets, True, axis=1)
-            assert (lex_unrank_masks(n, k, np.arange(total)) == want).all()
+            groups, rows, start = grouptools._lex_groups(n, k)
+            assert n - 8 * len(groups) == t and start is not None
+            assert (lex_unrank_masks(n, k, np.arange(math.comb(n, k))) == every_subset_mask(n, k)).all()
         rows, start = grouptools._lex_tail(t)
         assert rows.shape == (2**t, -(-t // 8)) and len(start) == t + 1
         assert not rows.flags.writeable and not start.flags.writeable
+
+    @pytest.mark.parametrize("n, k", [(20, 9), (20, 10), (20, 11), (21, 8),
+                                      (21, 9), (21, 10), (21, 11), (32, 5), (33, 5)])
+    def test_masks_every_rank_at_table_edges(self, n, k):
+        """Every rank of the largest spaces that one table lookup decodes,
+        C(20, 10) and C(21, 8) subsets, and of the smallest that it does not:
+        C(21, 9) > 2**18, and (33, 5) with more than 32 elements."""
+        total = math.comb(n, k)
+        groups, rows, start = grouptools._lex_groups(n, k)
+        assert (start is None) == (total <= 2**18 and n <= 32)
+        if start is None:
+            assert not groups and rows.shape == (total, -(-n // 8)) and total <= 2**18
+        assert not rows.flags.writeable
+        assert (lex_unrank_masks(n, k, np.arange(total)) == every_subset_mask(n, k)).all()
+        for bad in (-1, total):
+            with pytest.raises(GroupError, match=f"rank {bad} out of range"):
+                lex_unrank_masks(n, k, [0, bad])
 
     @pytest.mark.parametrize("n,k", [(16, 12), (34, 15), (70, 35)])
     def test_masks_sampled(self, n, k):
