@@ -1,7 +1,9 @@
 """Candidate generation: d=5 completeness at desk scale, canonical dedup,
 and the general constraint-list generator."""
 
+import functools
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,90 @@ def candidate_digest(cands):
         f"{','.join(map(str, c.a))};{','.join(map(str, c.b))};{c.x}" for c in cands
     )
     return hashlib.sha256(lines.encode()).hexdigest()
+
+
+# Profiles whose candidates_general streams are pinned.  The d=5 ones run
+# to exhaustion; ℓ=21 and ℓ=87 stop at their budgets.
+STREAM_PROFILES = {
+    "l15-balanced": dict(ell=15, m=3, d=5, abs_value_counts={3: 2, 1: 8},
+                         balanced=True, seed=1),
+    "l15-unbalanced": dict(ell=15, m=3, d=5, abs_value_counts={3: 2, 1: 8}, seed=2),
+    "l15-balanced-x0": dict(ell=15, m=3, d=5, abs_value_counts={3: 2, 1: 8},
+                            balanced=True, seed=1, x_filter={0}),
+    "l25-unbalanced": dict(ell=25, m=5, d=5, abs_value_counts={3: 4, 1: 6}, seed=3),
+    "l21-unbalanced": dict(ell=21, m=3, d=7, abs_value_counts={3: 3, 1: 11},
+                           seed=0, budget=50_000),
+    "l87-balanced": dict(ell=87, m=3, d=29, abs_value_counts={3: 14, 1: 44},
+                         balanced=True, seed=0, budget=5_000),
+}
+
+# (count, candidate_digest) of each stream, printed by stream_pins()
+STREAM_PINS = {
+    "l15-balanced": (225, "571171576f21ea22a0f890273ac3b3f290d72cd16aeab6cf8e618927276bf38d"),
+    "l15-unbalanced": (425, "e40071878ff62b38a38d2f3419ed532566b0a03f976a3a6edeb4050b24a82de8"),
+    "l15-balanced-x0": (25, "f09c373027e32bcd1e99016fb49e74c093a4c8db4b1bcc725b6bc75dcf2a1782"),
+    "l25-unbalanced": (600, "81f5ed42c7d4f750ff548fce6c8fd70a1f2f468a05bad8097ff956b8ae6b0b53"),
+    "l21-unbalanced": (122, "6b3bc4a5424a065a94a5d26f89e5fc14f7598fe61a5256b19878ca95ab0b45c8"),
+    "l87-balanced": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+# Budgets spread across the exhaustive trees (8,308, 21,906 and 86,042
+# nodes), each at the node that completes a pair and one below it: a
+# budgeted stream stops at an exact node count, so these prefixes show
+# whether nodes are counted as before.
+SWEEP_BUDGETS = {
+    "l15-balanced": (15, 16, 3077, 3078, 8303, 8304),
+    "l15-unbalanced": (182, 183, 4296, 4297, 21886, 21887),
+    "l25-unbalanced": (47, 48, 16255, 16256, 33238, 33239),
+}
+SWEEP_DIGEST = "32a749fe9955db423d5f5dbaa5a20c8f195813108ce19ebe67875e096d578a7f"
+
+
+@functools.lru_cache(maxsize=None)
+def stream(name, budget=None):
+    kw = dict(STREAM_PROFILES[name])
+    if budget is not None:
+        kw["budget"] = budget
+    return tuple(candidates_general(GenerationProfile(**kw)))
+
+
+def stream_pins():
+    """The pins above, recomputed: run
+    PYTHONPATH=src:tests python -c "import test_candgen as t; print(t.stream_pins())"
+    """
+    sweep = "\n".join(
+        f"{name} {budget} {candidate_digest(stream(name, budget))}"
+        for name, budgets in SWEEP_BUDGETS.items()
+        for budget in budgets
+    )
+    pins = {name: (len(stream(name)), candidate_digest(stream(name)))
+            for name in STREAM_PROFILES}
+    return pins, hashlib.sha256(sweep.encode()).hexdigest()
+
+
+def oracle_pairs(profile):
+    """Brute force: every pair of sides carrying the profile's magnitudes
+    (half the counts each when balanced, any split of them otherwise), with
+    entry sums 1 and joint PAF -2m at every nonzero shift."""
+    d, counts = profile.d, profile.abs_value_counts
+    mags = sorted(counts)
+    values = [sign * mag for mag in mags for sign in (1, -1)]
+    sides = {}
+    for side in itertools.product(values, repeat=d):
+        if sum(side) != 1:
+            continue
+        used = tuple(sum(abs(v) == mag for v in side) for mag in mags)
+        pafs = tuple(paf(side, s) for s in range(1, d))
+        sides.setdefault((used, pafs), []).append(side)
+    target = -2 * profile.m
+    pairs = set()
+    for (used, pafs), firsts in sides.items():
+        if profile.balanced and any(2 * u != counts[mag] for u, mag in zip(used, mags)):
+            continue
+        rest = tuple(counts[mag] - u for u, mag in zip(used, mags))
+        for b in sides.get((rest, tuple(target - p for p in pafs)), ()):
+            pairs.update((a, b) for a in firsts)
+    return pairs
 
 
 def _images(t):
@@ -325,3 +411,27 @@ class TestCandidatesGeneral:
         profile = self.small_profile(x_filter={0}, budget=None)
         pairs = list(candidates_general(profile))
         assert pairs and all(p.x == 0 for p in pairs)
+
+    def test_pinned_streams(self):
+        assert stream_pins() == (STREAM_PINS, SWEEP_DIGEST)
+        for name, budgets in SWEEP_BUDGETS.items():
+            for budget in budgets:
+                prefix = stream(name, budget)
+                assert prefix == stream(name)[:len(prefix)]
+
+    @pytest.mark.parametrize("name", ["l15-balanced", "l15-unbalanced", "l25-unbalanced"])
+    def test_exhaustive_stream_is_oracle(self, name):
+        pairs = [(p.a, p.b) for p in stream(name)]
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == oracle_pairs(GenerationProfile(**STREAM_PROFILES[name]))
+
+    def test_x_filtered_stream_is_oracle(self):
+        profile = GenerationProfile(**STREAM_PROFILES["l15-balanced-x0"])
+        want = {(a, b) for a, b in oracle_pairs(profile) if paf(a, 1) - paf(a, 2) == 0}
+        assert {(p.a, p.b) for p in stream("l15-balanced-x0")} == want
+
+    def test_budgeted_d7_stream_within_oracle(self):
+        oracle = oracle_pairs(GenerationProfile(**STREAM_PROFILES["l21-unbalanced"]))
+        pairs = {(p.a, p.b) for p in stream("l21-unbalanced")}
+        assert len(oracle) == 4704
+        assert pairs and pairs <= oracle
