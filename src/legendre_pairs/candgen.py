@@ -180,6 +180,24 @@ class GenerationProfile:
         return True
 
 
+def _shift_tables(d: int) -> Tuple[List[List[Tuple[int, int]]], List[List[int]]]:
+    """Per position, the earlier positions of its side that each shift
+    pairs it with; per depth, the products per shift still unknown after it.
+
+    Positions fill a0, b0, a1, b1, ... with nonzero values, so entry pos
+    meets at shift s the members of {(pos ± s) mod d} below pos, one at
+    s = d/2.  Each shift lists two, padded with d, where rows hold a zero.
+    """
+    shifts = range(1, d // 2 + 1)
+    met = [[[j for j in {(pos + s) % d, (pos - s) % d} if j < pos] for s in shifts]
+           for pos in range(d)]
+    unknown, left = [], [2 * d] * len(shifts)
+    for depth in range(2 * d):
+        left = [u - len(js) for u, js in zip(left, met[depth // 2])]
+        unknown.append(left)
+    return [[tuple(js + [d, d])[:2] for js in row] for row in met], unknown
+
+
 def candidates_general(profile: GenerationProfile) -> Iterator[CandidatePair]:
     """Deterministic seeded stream of pairs satisfying the profile.
 
@@ -192,20 +210,19 @@ def candidates_general(profile: GenerationProfile) -> Iterator[CandidatePair]:
     target = -2 * m
     rng = random.Random(profile.seed)
     mags = sorted(profile.abs_value_counts)
-    max_mag = max(mags)
+    square = max(mags) ** 2
 
-    # remaining magnitude budgets: joint, plus per-side when balanced
-    joint = dict(profile.abs_value_counts)
+    # magnitudes left to place, per side when balanced (a side's remaining
+    # entries then use all of its own), else joint
     half = profile.side_counts()
-    side_rem = [dict(half), dict(half)] if half else None
+    pools = [dict(half), dict(half)] if half else [dict(profile.abs_value_counts)] * 2
 
-    a = [0] * d
-    b = [0] * d
-    rows = (a, b)
-    shifts = range(1, d // 2 + 1)
-    # joint partial PAF per shift and number of unknown products
-    partial = {s: 0 for s in shifts}
-    unknown = {s: 2 * d for s in shifts}
+    rows = ([0] * (d + 1), [0] * (d + 1))
+    # prefix sums of each side: sums[side][pos] = sum(row[:pos])
+    sums = ([0] * (d + 1), [0] * (d + 1))
+    links, unknown = _shift_tables(d)
+    # per depth and shift: the largest |sum| of the products still unknown
+    bounds = [[u * square for u in left] for left in unknown]
     nodes = 0
     budget = profile.budget
 
@@ -216,109 +233,50 @@ def candidates_general(profile: GenerationProfile) -> Iterator[CandidatePair]:
         rng.shuffle(vals)
         orders.append(vals)
 
-    def products_touching(row: List[int], i: int, s: int) -> int:
-        """New known products for shift s after row[i] was just set."""
-        total = 0
-        j = (i + s) % d
-        if row[j] != 0:
-            total += row[i] * row[j]
-        j2 = (i - s) % d
-        if j2 != j and row[j2] != 0:
-            total += row[i] * row[j2]
-        return total
-
-    def count_new(row: List[int], i: int, s: int) -> int:
-        n = 0
-        if row[(i + s) % d] != 0:
-            n += 1
-        j2 = (i - s) % d
-        if j2 != (i + s) % d and row[j2] != 0:
-            n += 1
-        return n
-
-    def feasible_counts(side_idx: int, pos: int) -> bool:
-        remaining = d - pos - 1
-        row = rows[side_idx]
-        cur = sum(row[: pos + 1])
-        if side_rem is not None:
-            rem = side_rem[side_idx]
-            if sum(rem.values()) != remaining:
-                return False
-            lo = cur - sum(mag * cnt for mag, cnt in rem.items())
-            hi = cur + sum(mag * cnt for mag, cnt in rem.items())
-        else:
-            if remaining > sum(joint.values()):
-                return False
-            caps = sorted(
-                (mag for mag, cnt in joint.items() for _ in range(cnt)),
-                reverse=True,
-            )[:remaining]
-            lo, hi = cur - sum(caps), cur + sum(caps)
-        if not lo <= 1 <= hi:
+    def feasible(pool: Dict[int, int], need: int, cur: int) -> bool:
+        """Can need more odd entries from pool bring the side's sum to 1?"""
+        gap = 1 - cur
+        if (gap - need) % 2 != 0:
             return False
-        if (1 - cur - remaining) % 2 != 0:  # all values odd
-            return False
-        return True
+        reach = 0
+        for mag in reversed(mags):
+            take = min(pool[mag], need)
+            reach += take * mag
+            need -= take
+        return abs(gap) <= reach
 
-    def prune_paf() -> bool:
-        for s in shifts:
-            gap = target - partial[s]
-            bound = unknown[s] * max_mag * max_mag
-            if abs(gap) > bound:
-                return True
-            if unknown[s] == 0 and gap != 0:
-                return True
-            # all products are odd, so the remaining sum has parity unknown[s]
-            if (gap - unknown[s]) % 2 != 0:
+    def pruned(partial: List[int], bound: List[int]) -> bool:
+        for p, most in zip(partial, bound):
+            if abs(target - p) > most:
                 return True
         return False
 
-    def emit() -> Optional[CandidatePair]:
-        ta, tb = tuple(a), tuple(b)
-        x = paf(ta, 1) - paf(ta, 2) if d == 5 else None
-        if d == 5 and profile.x_filter is not None and x not in profile.x_filter:
-            return None
-        pair = CandidatePair(a=ta, b=tb, ell=profile.ell, m=m, x=x)
-        pair.check()
-        return pair
-
-    def step(depth: int) -> Iterator[CandidatePair]:
+    def step(depth: int, partial: List[int]) -> Iterator[CandidatePair]:
         nonlocal nodes
         if depth == 2 * d:
-            pair = emit()
-            if pair is not None:
+            a, b = tuple(rows[0][:d]), tuple(rows[1][:d])
+            x = paf(a, 1) - paf(a, 2) if d == 5 else None
+            if d != 5 or profile.x_filter is None or x in profile.x_filter:
+                pair = CandidatePair(a=a, b=b, ell=profile.ell, m=m, x=x)
+                pair.check()
                 yield pair
             return
-        side_idx, pos = depth % 2, depth // 2
-        row = rows[side_idx]
+        side, pos = depth % 2, depth // 2
+        row, prefix, pool, here = rows[side], sums[side], pools[side], links[pos]
         for v in orders[depth]:
             mag = abs(v)
-            if joint.get(mag, 0) <= 0:
-                continue
-            if side_rem is not None and side_rem[side_idx].get(mag, 0) <= 0:
+            if pool.get(mag, 0) <= 0:
                 continue
             if budget is not None and nodes >= budget:
                 return
             nodes += 1
-            joint[mag] -= 1
-            if side_rem is not None:
-                side_rem[side_idx][mag] -= 1
+            pool[mag] -= 1
+            # entries past pos are stale until placed, and nothing reads them
             row[pos] = v
-            deltas = {}
-            for s in shifts:
-                dp = products_touching(row, pos, s)
-                dn = count_new(row, pos, s)
-                partial[s] += dp
-                unknown[s] -= dn
-                deltas[s] = (dp, dn)
-            if feasible_counts(side_idx, pos) and not prune_paf():
-                yield from step(depth + 1)
-            row[pos] = 0
-            for s, (dp, dn) in deltas.items():
-                partial[s] -= dp
-                unknown[s] += dn
-            joint[mag] += 1
-            if side_rem is not None:
-                side_rem[side_idx][mag] += 1
+            prefix[pos + 1] = prefix[pos] + v
+            nxt = [p + v * (row[i] + row[j]) for p, (i, j) in zip(partial, here)]
+            if feasible(pool, d - pos - 1, prefix[pos + 1]) and not pruned(nxt, bounds[depth]):
+                yield from step(depth + 1, nxt)
+            pool[mag] += 1
 
-    yield from step(0)
+    yield from step(0, [0] * (d // 2))

@@ -94,13 +94,13 @@ def _parse_candidates(raw):
 
 
 def _parse_profile(raw):
-    return {
-        "ell": raw["ell"],
-        "m": raw["m"],
-        "d": raw["d"],
-        "abs_value_counts": {int(k): v for k, v in raw["abs_value_counts"].items()},
-        "balanced": raw.get("balanced", False),
-    }
+    ell, m, d = _ints(raw["ell"], raw["m"], raw["d"])
+    counts = raw["abs_value_counts"]
+    balanced = raw.get("balanced", False)
+    if not isinstance(balanced, bool):
+        raise ValueError(f"balanced must be true or false, got {balanced!r}")
+    return dict(ell=ell, m=m, d=d, balanced=balanced,
+                abs_value_counts=dict(zip(map(int, counts), _ints(*counts.values()))))
 
 
 def _ints(*values):

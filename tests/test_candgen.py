@@ -4,11 +4,13 @@ and the general constraint-list generator."""
 import functools
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legendre_pairs import candgen
 from legendre_pairs.candgen import (
     CandidatePair,
     GenerationProfile,
@@ -435,3 +437,38 @@ class TestCandidatesGeneral:
         pairs = {(p.a, p.b) for p in stream("l21-unbalanced")}
         assert len(oracle) == 4704
         assert pairs and pairs <= oracle
+
+
+def products_touching(row, i, s):
+    """Products newly known at shift s once row[i] is set, found by looking
+    for placed partners: the reference for _shift_tables."""
+    d = len(row)
+    total, count = 0, 0
+    for j in {(i + s) % d, (i - s) % d}:
+        if row[j] != 0:
+            total += row[i] * row[j]
+            count += 1
+    return total, count
+
+
+class TestShiftTables:
+    """_shift_tables' partner lists and per-depth unknown-product counts
+    equal the step-by-step count when positions are placed in order."""
+
+    @pytest.mark.parametrize("d", range(1, 30))
+    def test_matches_loop(self, d):
+        links, unknown = candgen._shift_tables(d)
+        rng = random.Random(d)
+        shifts = range(1, d // 2 + 1)
+        rows = ([0] * (d + 1), [0] * (d + 1))
+        left = [2 * d] * len(shifts)
+        assert len(unknown) == 2 * d
+        for depth in range(2 * d):
+            row, pos = rows[depth % 2], depth // 2
+            row[pos] = v = rng.choice((-5, -3, -1, 1, 3, 5))
+            for k, s in enumerate(shifts):
+                total, count = products_touching(row[:d], pos, s)
+                i, j = links[pos][k]
+                assert v * (row[i] + row[j]) == total
+                left[k] -= count
+            assert unknown[depth] == left

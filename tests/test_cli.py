@@ -6,7 +6,7 @@ import json
 import pytest
 
 from legendre_pairs import cli
-from legendre_pairs.candgen import candidates_d5
+from legendre_pairs.candgen import GenerationProfile, candidates_d5, candidates_general
 from legendre_pairs.cli import main
 from legendre_pairs.decompress import SearchResult
 from legendre_pairs.refdata import ell87
@@ -126,6 +126,8 @@ HINTS = ["search-orbit", "--ell", "85", "--gen", "69", "--ones", "12", "--twos",
 HINTS_NO_TWOS = ["search-orbit", "--ell", "15", "--gen", "1", "--ones", "7", "--twos", "0",
                  "--hints", "{in}"]
 DECOMPRESS = ["decompress", "--candidates", "{in}", "--out", "{out}", "--budget", "1000"]
+PROFILE = ["candidates", "--profile", "{in}", "--out", "{out}", "--budget", "2000"]
+L15_PROFILE = {"ell": 15, "m": 3, "d": 5, "abs_value_counts": {"3": 2, "1": 8}, "balanced": True}
 
 
 class TestBadInput:
@@ -156,6 +158,15 @@ class TestBadInput:
                      ("rank 5000",), id="hints-bad-rank-past-budget"),
         pytest.param(["candidates", "--profile", "{in}", "--out", "{out}"], [1, 2], ("{in}",),
                      id="profile-list"),
+        pytest.param(PROFILE, {**L15_PROFILE, "m": "3", "d": "5"}, ("{in}",),
+                     id="profile-string-fields"),
+        pytest.param(PROFILE, {**L15_PROFILE, "abs_value_counts": {"3": "2", "1": 8}},
+                     ("{in}",), id="profile-count-string"),
+        pytest.param(PROFILE, {**L15_PROFILE, "ell": 15.0}, ("{in}",), id="profile-float"),
+        pytest.param(PROFILE, {**L15_PROFILE, "balanced": "true"}, ("{in}",),
+                     id="profile-balanced-string"),
+        pytest.param(PROFILE, {**L15_PROFILE, "balanced": 1}, ("{in}",),
+                     id="profile-balanced-int"),
         pytest.param(["verify", "{in}", "{seq}"], None, ("{in}",), id="verify-directory"),
         pytest.param(["candidates", "--out", "{out}"], [], ("--ell", "--profile"),
                      id="candidates-no-source"),
@@ -230,6 +241,16 @@ class TestPipelineAndFiles:
             {"ell": 15, "m": 5, "d": 5, "abs_value_counts": {"1": 8, "3": 2}}
         ))
         assert main(["candidates", "--profile", str(profile), "--out", str(out)]) == 2
+
+    def test_candidates_profile_matches_library(self, tmp_path):
+        profile, out = tmp_path / "profile.json", tmp_path / "c.json"
+        profile.write_text(json.dumps(L15_PROFILE))
+        argv = [a.format(**{"in": profile, "out": out}) for a in PROFILE]
+        assert main(argv) == 0
+        want = candidates_general(GenerationProfile(
+            ell=15, m=3, d=5, abs_value_counts={3: 2, 1: 8}, balanced=True, budget=2000))
+        assert json.loads(out.read_text())["pairs"] == [
+            {"a": list(p.a), "b": list(p.b), "x": p.x} for p in want]
 
     def test_candidates_x_filter(self, tmp_path):
         out = tmp_path / "cx.json"
