@@ -130,7 +130,7 @@ class GenerationProfile:
         for mag, cnt in self.abs_value_counts.items():
             if cnt < 0:
                 raise ProfileError(f"negative count for magnitude {mag}")
-            if cnt == 0:
+            if cnt == 0 and mag >= 1:  # a key below 1 adds values to the orders at any count
                 continue
             if mag < 1 or mag > self.m or mag % 2 != self.m % 2:
                 raise ProfileError(

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import math
 import random
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -661,25 +662,25 @@ def _orbit_filter(ell: int, masks: np.ndarray, w: np.ndarray, p2: bool, limit: f
     return keep
 
 
-def _match(pool: Dict[bytes, list], pafs: np.ndarray, entries: Iterator[tuple],
-           result: SearchResult, want: int) -> Optional[int]:
-    """Add each PAF row (shifts 1..ℓ//2, int32) with its (sequence, codes)
-    entry to ``pool`` in turn, and pair it with every pooled entry whose
-    row is its complement -2 - PAF (the definition of a pair, so never
-    checked again); a self-complementary row is the last entry of its own
-    bucket and pairs with itself there.  Return the index of the row at
-    which ``want`` pairs are reached (want 0: never), or None.  Pool keys
-    are the bytes of C-ordered int32 rows, the rows' and their complements'
-    from one view."""
+def _match(pool: Dict[bytes, List[int]], pafs: np.ndarray, first: int, found: bytearray,
+           want: int) -> Optional[int]:
+    """Pool the survivors numbered first, first + 1, ... by their PAF rows
+    (shifts 1..ℓ//2, int32) in turn, and pair each with every pooled
+    survivor whose row is its complement -2 - PAF (the definition of a
+    pair, so never checked again), appending (earlier, later) to ``found``
+    as two native int64s (an array.array's module adds ≈0.13 MB of RSS).
+    A self-complementary row is the last of its own bucket and pairs with
+    itself there.  Return the index in ``pafs`` of the row at which
+    ``want`` pairs are reached (want 0: never), or None.  Keys are the
+    bytes of the C-ordered int32 rows and complements, from one view."""
     both = np.ascontiguousarray([pafs, -2 - pafs])
     keyed = both.view(np.dtype((np.void, both.strides[1]))).ravel().tolist()
-    for i, key, comp, entry in zip(itertools.count(), keyed, keyed[len(pafs):], entries):
-        pool.setdefault(key, []).append(entry)
+    for number, key, comp in zip(itertools.count(first), keyed, keyed[len(pafs):]):
+        pool.setdefault(key, []).append(number)
         for other in pool.get(comp, ()):
-            result.pairs.append((other[0], entry[0]))
-            result.codes.append((other[1], entry[1]))
-        if want and len(result.pairs) >= want:
-            return i
+            found += struct.pack("=2q", other, number)
+        if want and len(found) >= 16 * want:
+            return number - first
     return None
 
 
@@ -696,13 +697,15 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     filters, the exact compressed square-sum when 5 | ℓ and the PSD ceiling
     (math.inf with psd_prune off), run on the masks in orbit space
     (_orbit_filter: one GEMM per batch, one frequency per class of
-    <generators, -1>).  The survivors alone get ±1 rows, exact integer PAF rows and codes, and _match pools
-    them in selection order and emits every exact complement, PAF_A + PAF_B
-    = -2, unchecked.  So budgets and max_solutions stop at the same
-    selection as one at a time: the last batch is cut at the budget, and a
-    max_solutions stop counts the selections up to the survivor that
-    reached it.  Nodes count distinct selections, so the search is
-    exhausted when they reach C(n1, k1)·C(n2, k2).
+    <generators, -1>).  The survivors alone get int8 ±1 rows and exact PAF
+    rows; _match pools them by number (0, 1, ... in selection order) and
+    records every exact complement, PAF_A + PAF_B = -2, unchecked, as two
+    numbers.  So budgets and max_solutions stop at the same selection as one
+    at a time: the last batch is cut at the budget, and a max_solutions stop
+    counts the selections up to the survivor that reached it.  One gather
+    then builds a tuple and a codes dict per distinct matched survivor from
+    the batches' kept rows and ranks.  Nodes count distinct selections, so
+    the search is exhausted when they reach C(n1, k1)·C(n2, k2).
     """
     cfg.validate()
     if cfg.strategy != "orbit_restricted":
@@ -724,9 +727,11 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     limit = 2 * ell + 2 + PSD_CEILING_TOL if cfg.psd_prune else math.inf
 
     result = SearchResult()
-    pool: Dict[bytes, list] = {}  # PAF at shifts 1..ℓ//2 -> (sequence, codes) entries
+    pool: Dict[bytes, List[int]] = {}  # PAF at shifts 1..ℓ//2 -> survivor numbers
+    kept: List[Tuple[np.ndarray, ...]] = []  # each batch's survivor rows, ranks1, ranks2
+    found = bytearray()  # survivor numbers, (earlier, later) per pair, as int64
     space1 = math.comb(n1, k1)
-    nodes = 0
+    nodes = survivors = 0
     for batch in _selections(cfg, n1, n2):
         batch = batch[:cfg.budget_nodes - nodes]
         ranks1, ranks2 = batch % space1, batch // space1
@@ -737,10 +742,9 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
         if live.size:  # most ℓ=55 and ℓ=85 batches have no survivor
             rows = 1 - 2 * masks[live][:, column].view(np.int8)
             pafs = paf_rows(rows.astype(np.int32), ell // 2 + 1)[:, 1:]  # |PAF| <= ℓ
-            codes = [{1: (n1, k1, rank1), 2: (n2, k2, rank2)} if n2 else {1: (n1, k1, rank1)}
-                     for rank1, rank2 in zip(ranks1[live].tolist(), ranks2[live].tolist())]
-            last = _match(pool, pafs, zip(map(tuple, rows.tolist()), codes), result,
-                          cfg.max_solutions)
+            kept.append((rows, ranks1[live], ranks2[live]))
+            last = _match(pool, pafs, survivors, found, cfg.max_solutions)
+            survivors += live.size
             if last is not None:
                 nodes += int(live[last]) + 1
                 break
@@ -748,6 +752,16 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
         if nodes == cfg.budget_nodes:
             break
 
+    if found:
+        rows, ranks1, ranks2 = map(np.concatenate, zip(*kept))
+        ends = np.frombuffer(found, np.int64)
+        numbers = np.flatnonzero(np.bincount(ends))  # not np.unique, whose sort adds ≈0.7 MB RSS
+        ends = numbers.searchsorted(ends)
+        seqs = np.fromiter(map(tuple, rows[numbers].tolist()), object, len(numbers))
+        codes = np.fromiter(({1: (n1, k1, r1), 2: (n2, k2, r2)} if n2 else {1: (n1, k1, r1)} for r1, r2
+                             in zip(ranks1[numbers].tolist(), ranks2[numbers].tolist())), object, len(numbers))
+        result.pairs = list(zip(seqs[ends[0::2]], seqs[ends[1::2]]))
+        result.codes = list(zip(codes[ends[0::2]], codes[ends[1::2]]))
     result.nodes_visited = nodes
     # nodes count distinct selections, so all were searched exactly when
     # nodes reach their number; asking the stream would draw another chunk

@@ -344,6 +344,18 @@ class TestGenerationProfile:
         with pytest.raises(ProfileError, match="alphabet"):
             profile.validate()
 
+    @pytest.mark.parametrize("mag", [-1, 0])
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_magnitude_below_one_rejected_at_any_count(self, mag, count):
+        """A key below 1 is refused even at count 0: at ℓ=15 {3: 2, 1: 8, -1: 0}
+        made candidates_general emit each of its 225 pairs 256 times."""
+        counts = {3: 2, 1: 8 - count, mag: count}
+        profile = GenerationProfile(ell=15, m=3, d=5, abs_value_counts=counts, balanced=True)
+        with pytest.raises(ProfileError, match=f"magnitude {mag} outside"):
+            profile.validate()
+        with pytest.raises(ProfileError, match=f"magnitude {mag} outside"):
+            list(candidates_general(profile))
+
     def test_zero_count_magnitudes_ignored_by_admits(self):
         data = ell87()
         profile = self.l87_profile(abs_value_counts={3: 14, 1: 44})

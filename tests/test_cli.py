@@ -167,6 +167,8 @@ class TestBadInput:
                      id="profile-balanced-string"),
         pytest.param(PROFILE, {**L15_PROFILE, "balanced": 1}, ("{in}",),
                      id="profile-balanced-int"),
+        pytest.param(PROFILE, {**L15_PROFILE, "abs_value_counts": {"3": 2, "1": 8, "-1": 0}},
+                     ("magnitude -1",), id="profile-zero-count-negative-magnitude"),
         pytest.param(["verify", "{in}", "{seq}"], None, ("{in}",), id="verify-directory"),
         pytest.param(["candidates", "--out", "{out}"], [], ("--ell", "--profile"),
                      id="candidates-no-source"),

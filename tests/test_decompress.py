@@ -1606,3 +1606,80 @@ class TestOrbitPinned:
         chunks."""
         monkeypatch.setattr(decompress, "CHUNK", chunk)
         self.test_pinned(name)
+
+
+def assert_codes_round_trip(ell, gens, res):
+    """Each side's codes decode through block_from_codes and
+    sequence_from_block to that side's sequence."""
+    table = orbits(ell, gens)
+    assert res.pairs and len(res.codes) == len(res.pairs)
+    for pair, codes in zip(res.pairs, res.codes):
+        for seq, side in zip(pair, codes):
+            block = grouptools.block_from_codes(
+                table, {size: grouptools.LexRankCode(*code) for size, code in side.items()})
+            assert grouptools.sequence_from_block(block) == seq
+
+
+class TestOrbitCodes:
+    """The codes orbit_search gives each side name that side: the survivor
+    numbers that _match records map back to the right rows and ranks."""
+
+    @pytest.mark.parametrize("name", ["l21-scan", "l85-hints-sample"])
+    def test_pinned_cases_round_trip(self, name):
+        ell, cfg = ORBIT_CASES[name]()
+        assert_codes_round_trip(ell, cfg.subgroup_generators, orbit_search(ell, cfg))
+
+    def test_l25_sampled_p2_round_trip(self):
+        res = orbit_search(25, block_cfg(25, seed=1, budget_nodes=20_000))
+        assert len(res.pairs) == 10
+        assert_codes_round_trip(25, (1,), res)
+
+    @pytest.mark.parametrize("name", ["l21-scan-max1", "l21-scan-max50"])
+    def test_max_solutions_stop_with_partner_in_an_earlier_chunk(self, name):
+        """The stop falls inside a chunk, and the last pair's earlier side
+        survived in an earlier chunk (with no 2-orbits, a rank-order key is
+        its selection index and its rank1)."""
+        ell, cfg = ORBIT_CASES[name]()
+        res = orbit_search(ell, cfg)
+        last = res.nodes_visited - 1
+        assert last % decompress.CHUNK != decompress.CHUNK - 1
+        codes_a, codes_b = res.codes[-1]
+        earlier, later = codes_a[1][2], codes_b[1][2]
+        assert later == last and earlier < last - last % decompress.CHUNK
+        assert_codes_round_trip(ell, cfg.subgroup_generators, res)
+
+
+def match_rows(*rows):
+    return np.array(rows, dtype=np.int32).reshape(len(rows), 2)
+
+
+class TestMatch:
+    """_match on hand-made PAF rows at two shifts: the complement of [a, b]
+    is [-2 - a, -2 - b], and [-1, -1] is its own."""
+
+    def test_pairs_across_chunks_in_pool_order(self):
+        pool, found = {}, bytearray()
+        assert decompress._match(pool, match_rows([0, -1], [3, 3], [0, -1]), 0, found, 0) is None
+        assert not found
+        assert decompress._match(pool, match_rows([5, 5], [-2, -1]), 3, found, 0) is None
+        # row 4 matches rows 0 and 2, in the order they were pooled
+        assert np.frombuffer(found, np.int64).tolist() == [0, 4, 2, 4]
+        assert pool[match_rows([-2, -1]).tobytes()] == [4]
+
+    def test_self_complementary_row_pairs_with_itself(self):
+        pool, found = {}, bytearray()
+        assert decompress._match(pool, match_rows([-1, -1], [0, 0], [-1, -1]), 10, found, 0) is None
+        assert np.frombuffer(found, np.int64).tolist() == [10, 10, 10, 12, 12, 12]
+
+    @pytest.mark.parametrize("want, stop, pairs", [
+        (0, None, 4), (1, 1, 2), (2, 1, 2), (3, 3, 4), (4, 3, 4), (5, None, 4)])
+    def test_returns_the_row_reaching_want(self, want, stop, pairs):
+        """Rows 1 and 3 of the second chunk (numbers 3 and 5) each match
+        pooled rows 0 and 1 at once, so want 1 and 2 stop at row 1, 3 and 4
+        at row 3; the index returned counts rows of this chunk, and want 0
+        never stops."""
+        pool, found = {}, bytearray()
+        assert decompress._match(pool, match_rows([0, -1], [0, -1]), 0, found, want) is None
+        rows = match_rows([7, 7], [-2, -1], [1, 1], [-2, -1], [-3, -4])
+        assert decompress._match(pool, rows, 2, found, want) == stop
+        assert np.frombuffer(found, np.int64).tolist() == [0, 3, 1, 3, 0, 5, 1, 5][:2 * pairs]
