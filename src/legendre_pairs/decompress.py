@@ -154,19 +154,23 @@ def _score_block(q: np.ndarray, order: np.ndarray, rows: np.ndarray, part: np.nd
 
 def _psd_max(paf: np.ndarray, cos: np.ndarray) -> np.ndarray:
     """Max PSD over k != 0 of the rows whose PAFs at shifts 1..ℓ//2 are
-    ``paf``, with ``cos`` the plan's ℓ//2 × ℓ//2 cos(2π·sk/ℓ): at odd ℓ,
-    PSD_k = ℓ + 2 Σ_s PAF(s)·cos(2π·sk/ℓ) and PSD_k = PSD_(ℓ-k), so k =
-    1..ℓ//2 covers every k != 0.  |PAF| <= ℓ and the angles are reduced,
-    so the error is at most 8ℓ³·2**-53, below PSD_CEILING_TOL."""
-    return 2 * (paf @ cos).max(-1) + 2 * len(cos) + 1
+    ``paf`` (any leading shape), with ``cos`` the plan's ℓ//2 × ℓ//2
+    cos(2π·sk/ℓ): at odd ℓ, PSD_k = ℓ + 2 Σ_s PAF(s)·cos(2π·sk/ℓ) and PSD_k
+    = PSD_(ℓ-k), so k = 1..ℓ//2 covers every k != 0.  One 2-D product over
+    all rows.  |PAF| <= ℓ and the angles are reduced, so the error is at
+    most 8ℓ³·2**-53, below PSD_CEILING_TOL."""
+    top = (paf.reshape(-1, len(cos)) @ cos).max(-1).reshape(paf.shape[:-1])
+    return 2 * top + 2 * len(cos) + 1
 
 
-def _tail_start(widths: Sequence[int]) -> int:
+def _tail_start(widths: Sequence[int], limit: Optional[int] = None) -> int:
     """First depth of the batched tail for these option widths per depth:
-    the shallowest whose remaining widths multiply to at most TAIL_OPTIONS,
-    or len(widths), no tail, when that spans fewer than 3 depths."""
+    the shallowest whose remaining widths multiply to at most ``limit``
+    (TAIL_OPTIONS when None), or len(widths), no tail, when that spans
+    fewer than 3 depths."""
+    limit = TAIL_OPTIONS if limit is None else limit
     start, size = len(widths), 1
-    while start and size * widths[start - 1] <= TAIL_OPTIONS:
+    while start and size * widths[start - 1] <= limit:
         start -= 1
         size *= widths[start]
     return start if len(widths) - start >= 3 else len(widths)
@@ -183,6 +187,7 @@ class _Plan(NamedTuple):
     slack: np.ndarray  # the joint bound's limit per depth and shift
     options: Tuple[np.ndarray, ...]  # each depth's _options, in lex order
     cos: np.ndarray  # cos 2π(s·k mod ℓ)/ℓ, s and k = 1..ℓ//2, for _psd_max
+    tail: int  # the batched tail's first depth (_tail_start)
 
 
 @functools.lru_cache(maxsize=64)
@@ -204,7 +209,14 @@ def _grid(ell: int, d: int) -> Tuple[np.ndarray, ...]:
 
 
 def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
-    """The search plan of candidate (a, b) at odd length ℓ."""
+    """The search plan of candidate (a, b) at odd length ℓ, built once per
+    process for each (ℓ, a, b) and TAIL_OPTIONS, whichever sequence type
+    holds a and b.  Read-only: every search of the candidate shares it."""
+    return _built_plan(ell, tuple(a), tuple(b), TAIL_OPTIONS)
+
+
+@functools.lru_cache(maxsize=64)
+def _built_plan(ell: int, a: Tuple[int, ...], b: Tuple[int, ...], tail_options: int) -> _Plan:
     d = len(a)
     if len(b) != d or d == 0 or ell % d != 0:
         raise SearchConfigError(f"candidate shape {d} does not divide ℓ={ell}")
@@ -227,8 +239,10 @@ def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
     fixed = np.bincount((known * nshifts + np.arange(nshifts)).ravel(),
                         minlength=len(steps) * nshifts)
     slack = 2 * ell - m * fixed.reshape(len(steps), nshifts).cumsum(0, dtype=np.int64)
+    slack.flags.writeable = False
     options = tuple(_options(m, negs[side][j], nshifts // d) for side, j in steps)
-    return _Plan(steps, classes, plus, minus, own, slack, options, cos)
+    tail = _tail_start([len(x) for x in options], tail_options)
+    return _Plan(steps, classes, plus, minus, own, slack, options, cos, tail)
 
 
 def _score_state(plan: _Plan, depth: int, order: np.ndarray, state: np.ndarray,
@@ -236,7 +250,9 @@ def _score_state(plan: _Plan, depth: int, order: np.ndarray, state: np.ndarray,
     """The walk's step: _score_block's exact deficits for one state (2 × ℓ
     rows, ``part`` their partial PAFs), options × shifts, from the plan's
     options.  Return the survivors' positions in ``order`` and new PAFs.
-    The walk takes the A side's last step from _a_ceiling instead."""
+    The walk takes the A side's last step from _a_ceiling instead, and
+    scores the B step above it in lex order (an identity ``order``) until
+    that step's ceiling keeps an option."""
     side, j = plan.steps[depth]
     row = state[side]
     gain = row[plan.plus[j]] + row[plan.minus[j]]
@@ -254,14 +270,22 @@ def _a_ceiling(plan: _Plan, state: np.ndarray, part: np.ndarray,
     options, in lex order, have a completed PAF_A with _psd_max <=
     ``psd_limit`` (all of them at math.inf), and every option's PAF_A
     (float64, exact).  For a batch of states (P × 2 × ℓ, ``part`` P × 2 ×
-    ℓ//2) both gain a leading state axis.  No seeded order is needed until
-    _in_order takes the kept rows."""
+    ℓ//2) both gain a leading state axis.  The PAFs of all P states come
+    from one 2-D product, options × (states · shifts), whose operand stacks
+    each state's C_j and the plan's own selector.  No seeded order is
+    needed until _in_order takes the kept rows."""
     j = plan.steps[-2][1]
-    row = state[..., 0, :]
-    gain = row[..., plan.plus[j]] + row[..., plan.minus[j]]
-    own = np.broadcast_to(plan.own, gain.shape[:-2] + plan.own.shape)
-    paf = plan.options[-2][:, :-1] @ np.concatenate((gain, own), -2) + part[..., None, 0, :]
-    return _psd_max(paf, plan.cos) <= psd_limit, paf
+    (m, nshifts), laps = plan.plus.shape[1:], len(plan.own)
+    row = state[..., 0, :].reshape(-1, state.shape[-1])
+    x = np.empty((m + laps, len(row), nshifts))
+    np.add(row[:, plan.plus[j]], row[:, plan.minus[j]], out=x[:m].transpose(1, 0, 2))
+    x[m:] = plan.own[:, None]
+    paf = (plan.options[-2][:, :-1] @ x.reshape(m + laps, -1)).reshape(-1, len(row), nshifts)
+    paf += part[..., 0, :].reshape(len(row), nshifts)
+    keep = _psd_max(paf, plan.cos) <= psd_limit  # options × states
+    if state.ndim == 2:
+        return keep[:, 0], paf[:, 0]
+    return keep.T, paf.transpose(1, 0, 2)
 
 
 def _in_order(order: np.ndarray, keep: np.ndarray, paf: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -289,7 +313,8 @@ def _a_last_level(plan: _Plan, order: np.ndarray, states: np.ndarray, part: np.n
     each state's joint bound on the kept rows: what _score_block, then
     _psd_max, return state by state (state indices, positions in ``order``,
     int32 PAF_A), in the same order."""
-    first = np.diff(parent, prepend=-1) != 0
+    first = np.ones(len(parent), dtype=bool)
+    first[1:] = parent[1:] != parent[:-1]
     g, kept, paf = _in_order(order, *_a_ceiling(plan, states[first], part[first], psd_limit))
     count = np.bincount(g, minlength=first.sum())
     group = first.cumsum() - 1
@@ -327,19 +352,22 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     every leaf reached is a pair and is emitted as it is.  Even ℓ, which has
     no pair, is refused.
 
-    The option matrices stay in lex order, shared by every search, like the
-    plan's per-(ℓ, d) tables (_grid); a search keeps only its seeded option
-    order, as lex indices per depth, each drawn on first use in depth order
-    (_shuffled: shuffle's swaps, the same as drawing all up front).  Every option of a
+    The plan (_plan) is built once per process for each candidate and shared
+    read-only, like its per-(ℓ, d) tables (_grid) and the option matrices in
+    lex order; a search keeps only its seeded option order, as lex indices
+    per depth, each drawn on first use in depth order (_shuffled: shuffle's
+    swaps, the same as drawing all up front).  Every option of a
     depth is scored at once by an exact float64 product: the PAF gain of
     option v in class j is ``v @ C_j`` plus a term of v alone at shifts ≡ 0
     (mod d), with ``C_j[t, s] = row[i_t + s] + row[i_t - s]``; the unknown
     products depend on the depth only.  The walk scores its one state per
-    depth so (_score_state) down to the tail's first depth (_tail_start),
+    depth so (_score_state) down to the tail's first depth (plan.tail),
     the A side's last step from one PSD cut per frame above it (_a_ceiling
     in lex order, then _a_last_step; with one class the root is that step).
-    A frame whose cut keeps nothing is counted whole in one step, its live
-    children's subtrees included, and draws no order for them.  From the
+    That frame scores its own options in lex order and takes the cut only
+    if one is live; its order is drawn only when the cut keeps an option.
+    A frame whose cut keeps nothing is counted whole in one step from its
+    live count, and draws no order for itself or its children.  From the
     tail's first depth, one call scores the whole subtree a level at a time,
     every surviving state of a level against every option of the next
     (_score_block, with C_j folded into each class's _tail_options), keeping
@@ -357,7 +385,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     if ell % 2 == 0:
         raise SearchConfigError(f"no Legendre pair has even length, got ℓ={ell}")
     plan = _plan(ell, cand.a, cand.b)
-    steps, classes, plus, _, _, slack, options, _ = plan
+    steps, classes, plus, _, _, slack, options, _, tail = plan
     m, nshifts = plus.shape[1:]
 
     rng = random.Random(cfg.seed)
@@ -373,7 +401,10 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     result = SearchResult()
     psd_limit = 2 * ell + 2 + PSD_CEILING_TOL if cfg.psd_prune else math.inf
     a_last_step = len(steps) - 2  # the A side is complete after it
-    tail = _tail_start([len(x) for x in options])
+    # the walk's frames one B step above it score in lex order and draw
+    # their order only once their a_ceiling keeps an option
+    above = a_last_step - 1 if a_last_step < tail else -1
+    lex = np.arange(len(options[above]))
 
     def chosen(depth: int, o) -> np.ndarray:
         """The ±1 values of the options at positions o of a depth's order,
@@ -422,10 +453,21 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
 
     def enter(depth: int, part: np.ndarray, ceiling=None) -> list:
         """The walk frame [depth, surviving option indices, their partial PAFs,
-        the partial PAFs at entry, survivors walked, options walked, its a_ceiling]."""
+        the partial PAFs at entry, survivors walked, options walked, its
+        a_ceiling].  At depth ``above`` the indices are lex until to_seeded."""
         live, new = (_a_last_step(ceiling, part, slack[depth]) if ceiling else
-                     _score_state(plan, depth, seeded(depth), rows[0], part))
+                     _score_state(plan, depth, lex if depth == above else seeded(depth),
+                                  rows[0], part))
         return [depth, live.tolist(), new, part, 0, 0, None]
+
+    def to_seeded(depth: int, live: List[int], new: np.ndarray) -> Tuple[List[int], np.ndarray]:
+        """Survivors given by lex index (ascending) as positions in the
+        depth's seeded order, drawn here if not yet, with their PAFs."""
+        order = seeded(depth)
+        hit = np.zeros(len(order), dtype=bool)
+        hit[live] = True
+        at = hit[order].nonzero()[0]
+        return at.tolist(), new[np.searchsorted(live, order[at])]
 
     def emit_tail(part: np.ndarray) -> Tuple[int, bool]:
         """Score the subtree below the walk's state from the tail's first
@@ -473,15 +515,16 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         frame = stack[-1]
         depth, live, new, part, pos, taken, ceiling = frame
         side, j = steps[depth]
-        if depth + 1 == a_last_step < tail and pos < len(live):
-            if ceiling is None:
-                ceiling = frame[6] = a_ceiling(part)
-            if not len(ceiling[0]):
+        if depth == above and ceiling is None and live:  # its first visit
+            ceiling = frame[6] = a_ceiling(part)
+            if len(ceiling[0]):
+                live, new = frame[1:3] = to_seeded(depth, live, new)
+            else:
                 # every live child's options are pruned: count their subtrees
-                # with the frame's rest.  Each child's pre-visit count is
-                # below this total, so it stops at the budget exactly when
-                # counting child by child would
-                nodes += (len(live) - pos) * len(options[a_last_step])
+                # with the frame's options, and draw no order for it.  Each
+                # child's pre-visit count is below this total, so it stops at
+                # the budget exactly when counting child by child would
+                nodes += len(live) * len(options[a_last_step])
                 pos = len(live)
         if pos == len(live):  # only pruned options, or children counted above, remain
             nodes += len(options[depth]) - taken

@@ -67,6 +67,9 @@ STREAM_PROFILES = {
     "l25-unbalanced": dict(ell=25, m=5, d=5, abs_value_counts={3: 4, 1: 6}, seed=3),
     "l21-unbalanced": dict(ell=21, m=3, d=7, abs_value_counts={3: 3, 1: 11},
                            seed=0, budget=50_000),
+    # A smoke test only: it finds 0 pairs at 5,000 nodes, and seed 0 found
+    # none within 6,000,000.  The bundled ℓ=87 witnesses come from the
+    # paper, not from this generator.
     "l87-balanced": dict(ell=87, m=3, d=29, abs_value_counts={3: 14, 1: 44},
                          balanced=True, seed=0, budget=5_000),
 }

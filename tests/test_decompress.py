@@ -851,8 +851,8 @@ class TestSeededOrders:
     def test_all_pruned_frame_draws_no_deeper_order(self, monkeypatch, psd_prune):
         """A 4,000-node ℓ=45 search cut inside its first depth-7 frame,
         whose ceiling keeps no option (SCAN_FRAMES): one _a_ceiling call, no
-        _a_last_step call, and no order drawn for depths 8 and 9.  With the
-        ceiling off (math.inf) it keeps every option, and both are drawn."""
+        _a_last_step call, and no order drawn for depths 7, 8 and 9.  With
+        the ceiling off (math.inf) it keeps every option, and all are drawn."""
         cand = [c for c in cached_candidates(9) if c.x in SCAN_X][0]
         widths = [len(x) for x in decompress._plan(45, cand.a, cand.b).options]
         calls = defaultdict(int)
@@ -875,7 +875,7 @@ class TestSeededOrders:
         assert calls["ceiling"] == 1
         if psd_prune:
             assert calls["last_step"] == 0
-            assert [len(x) for x in drawn] == widths[:8]
+            assert [len(x) for x in drawn] == widths[:7]
         else:
             assert calls["last_step"] > 0
             assert [len(x) for x in drawn] == widths
@@ -1152,6 +1152,55 @@ class TestPlanSlack:
             assert getattr(second, name) is x
             with pytest.raises(ValueError, match="read-only"):
                 x[(0,) * x.ndim] = 0
+
+
+class TestPlanMemo:
+    """_plan is built once per process for each (ℓ, a, b) and TAIL_OPTIONS,
+    and every search of the candidate shares it read-only."""
+
+    def test_tuples_and_lists_share_one_plan(self):
+        for cand in cached_candidates(9):
+            plan = decompress._plan(45, cand.a, cand.b)
+            assert decompress._plan(45, tuple(cand.a), tuple(cand.b)) is plan
+            assert decompress._plan(45, list(cand.a), list(cand.b)) is plan
+        other = cached_candidates(9)[1]
+        assert decompress._plan(45, other.a, other.b) is not decompress._plan(45, cand.a, cand.b)
+
+    def test_every_array_is_read_only(self):
+        for m in (1, 5, 9):
+            for cand in cached_candidates(m):
+                plan = decompress._plan(5 * m, cand.a, cand.b)
+                arrays = [x for x in plan if isinstance(x, np.ndarray)] + list(plan.options)
+                assert any(x is plan.slack for x in arrays)
+                for x in arrays:
+                    with pytest.raises(ValueError, match="read-only"):
+                        x[(0,) * x.ndim] = 0
+
+    def test_tail_follows_tail_options(self, monkeypatch):
+        """The plan carries _tail_start of its widths under the TAIL_OPTIONS
+        it was built with, so a changed TAIL_OPTIONS gets its own plan."""
+        cand = cached_candidates(5)[0]
+        plan = decompress._plan(25, cand.a, cand.b)
+        assert plan.tail == decompress._tail_start([len(x) for x in plan.options]) < len(plan.steps)
+        monkeypatch.setattr(decompress, "TAIL_OPTIONS", 0)
+        walk = decompress._plan(25, cand.a, cand.b)
+        assert walk is not plan
+        assert walk.tail == len(walk.steps)
+        monkeypatch.undo()
+        assert decompress._plan(25, cand.a, cand.b) is plan
+
+    @pytest.mark.parametrize("ell,budget", [(25, 30_000), (45, 4_000)])
+    def test_list_valued_candidate_searches(self, ell, budget):
+        """A candidate whose rows are lists searches as its tuple form does:
+        at ℓ=25 through the batched tail, at ℓ=45 through the walk's
+        A-side ceiling."""
+        for cand in cached_candidates(ell // 5)[:2]:
+            as_lists = CandidatePair(a=list(cand.a), b=list(cand.b), ell=ell, m=ell // 5)
+            cfg = SearchConfig(seed=3, budget_nodes=budget)
+            res, ref = uncompress_search(ell, as_lists, cfg), uncompress_search(ell, cand, cfg)
+            assert res.pairs == ref.pairs
+            assert (res.nodes_visited, res.exhausted) == (ref.nodes_visited, ref.exhausted)
+            assert res.nodes_visited == budget
 
 
 def oracle_block_pairs(ell):
