@@ -154,23 +154,19 @@ def _score_block(q: np.ndarray, order: np.ndarray, rows: np.ndarray, part: np.nd
 
 def _psd_max(paf: np.ndarray, cos: np.ndarray) -> np.ndarray:
     """Max PSD over k != 0 of the rows whose PAFs at shifts 1..ℓ//2 are
-    ``paf`` (any leading shape), with ``cos`` the plan's ℓ//2 × ℓ//2
-    cos(2π·sk/ℓ): at odd ℓ, PSD_k = ℓ + 2 Σ_s PAF(s)·cos(2π·sk/ℓ) and PSD_k
-    = PSD_(ℓ-k), so k = 1..ℓ//2 covers every k != 0.  One 2-D product over
-    all rows.  |PAF| <= ℓ and the angles are reduced, so the error is at
-    most 8ℓ³·2**-53, below PSD_CEILING_TOL."""
-    top = (paf.reshape(-1, len(cos)) @ cos).max(-1).reshape(paf.shape[:-1])
-    return 2 * top + 2 * len(cos) + 1
+    ``paf``, with ``cos`` the plan's ℓ//2 × ℓ//2 cos(2π·sk/ℓ): at odd ℓ,
+    PSD_k = ℓ + 2 Σ_s PAF(s)·cos(2π·sk/ℓ) and PSD_k = PSD_(ℓ-k), so k =
+    1..ℓ//2 covers every k != 0.  |PAF| <= ℓ and the angles are reduced,
+    so the error is at most 8ℓ³·2**-53, below PSD_CEILING_TOL."""
+    return 2 * (paf @ cos).max(-1) + 2 * len(cos) + 1
 
 
-def _tail_start(widths: Sequence[int], limit: Optional[int] = None) -> int:
+def _tail_start(widths: Sequence[int]) -> int:
     """First depth of the batched tail for these option widths per depth:
-    the shallowest whose remaining widths multiply to at most ``limit``
-    (TAIL_OPTIONS when None), or len(widths), no tail, when that spans
-    fewer than 3 depths."""
-    limit = TAIL_OPTIONS if limit is None else limit
+    the shallowest whose remaining widths multiply to at most TAIL_OPTIONS,
+    or len(widths), no tail, when that spans fewer than 3 depths."""
     start, size = len(widths), 1
-    while start and size * widths[start - 1] <= limit:
+    while start and size * widths[start - 1] <= TAIL_OPTIONS:
         start -= 1
         size *= widths[start]
     return start if len(widths) - start >= 3 else len(widths)
@@ -187,7 +183,6 @@ class _Plan(NamedTuple):
     slack: np.ndarray  # the joint bound's limit per depth and shift
     options: Tuple[np.ndarray, ...]  # each depth's _options, in lex order
     cos: np.ndarray  # cos 2π(s·k mod ℓ)/ℓ, s and k = 1..ℓ//2, for _psd_max
-    tail: int  # the batched tail's first depth (_tail_start)
 
 
 @functools.lru_cache(maxsize=64)
@@ -195,7 +190,7 @@ def _grid(ell: int, d: int) -> Tuple[np.ndarray, ...]:
     """The plan's classes, plus, minus, own and cos, which depend on (ℓ, d)
     alone.  Read-only: every search at ℓ with d classes shares them."""
     m, nshifts = ell // d, ell // 2
-    classes = np.arange(ell).reshape(m, d).T
+    classes = np.arange(ell).reshape(m, d).T.copy()  # C order: strided indices gather slower
     shifts = np.arange(1, nshifts + 1)
     plus = (classes[:, :, None] + shifts) % ell
     minus = (classes[:, :, None] - shifts) % ell
@@ -209,14 +204,7 @@ def _grid(ell: int, d: int) -> Tuple[np.ndarray, ...]:
 
 
 def _plan(ell: int, a: Sequence[int], b: Sequence[int]) -> _Plan:
-    """The search plan of candidate (a, b) at odd length ℓ, built once per
-    process for each (ℓ, a, b) and TAIL_OPTIONS, whichever sequence type
-    holds a and b.  Read-only: every search of the candidate shares it."""
-    return _built_plan(ell, tuple(a), tuple(b), TAIL_OPTIONS)
-
-
-@functools.lru_cache(maxsize=64)
-def _built_plan(ell: int, a: Tuple[int, ...], b: Tuple[int, ...], tail_options: int) -> _Plan:
+    """The search plan of candidate (a, b) at odd length ℓ."""
     d = len(a)
     if len(b) != d or d == 0 or ell % d != 0:
         raise SearchConfigError(f"candidate shape {d} does not divide ℓ={ell}")
@@ -239,10 +227,8 @@ def _built_plan(ell: int, a: Tuple[int, ...], b: Tuple[int, ...], tail_options: 
     fixed = np.bincount((known * nshifts + np.arange(nshifts)).ravel(),
                         minlength=len(steps) * nshifts)
     slack = 2 * ell - m * fixed.reshape(len(steps), nshifts).cumsum(0, dtype=np.int64)
-    slack.flags.writeable = False
     options = tuple(_options(m, negs[side][j], nshifts // d) for side, j in steps)
-    tail = _tail_start([len(x) for x in options], tail_options)
-    return _Plan(steps, classes, plus, minus, own, slack, options, cos, tail)
+    return _Plan(steps, classes, plus, minus, own, slack, options, cos)
 
 
 def _score_state(plan: _Plan, depth: int, order: np.ndarray, state: np.ndarray,
@@ -270,22 +256,14 @@ def _a_ceiling(plan: _Plan, state: np.ndarray, part: np.ndarray,
     options, in lex order, have a completed PAF_A with _psd_max <=
     ``psd_limit`` (all of them at math.inf), and every option's PAF_A
     (float64, exact).  For a batch of states (P × 2 × ℓ, ``part`` P × 2 ×
-    ℓ//2) both gain a leading state axis.  The PAFs of all P states come
-    from one 2-D product, options × (states · shifts), whose operand stacks
-    each state's C_j and the plan's own selector.  No seeded order is
-    needed until _in_order takes the kept rows."""
+    ℓ//2) both gain a leading state axis.  No seeded order is needed until
+    _in_order takes the kept rows."""
     j = plan.steps[-2][1]
-    (m, nshifts), laps = plan.plus.shape[1:], len(plan.own)
-    row = state[..., 0, :].reshape(-1, state.shape[-1])
-    x = np.empty((m + laps, len(row), nshifts))
-    np.add(row[:, plan.plus[j]], row[:, plan.minus[j]], out=x[:m].transpose(1, 0, 2))
-    x[m:] = plan.own[:, None]
-    paf = (plan.options[-2][:, :-1] @ x.reshape(m + laps, -1)).reshape(-1, len(row), nshifts)
-    paf += part[..., 0, :].reshape(len(row), nshifts)
-    keep = _psd_max(paf, plan.cos) <= psd_limit  # options × states
-    if state.ndim == 2:
-        return keep[:, 0], paf[:, 0]
-    return keep.T, paf.transpose(1, 0, 2)
+    row = state[..., 0, :]
+    gain = row[..., plan.plus[j]] + row[..., plan.minus[j]]
+    own = np.broadcast_to(plan.own, gain.shape[:-2] + plan.own.shape)
+    paf = plan.options[-2][:, :-1] @ np.concatenate((gain, own), -2) + part[..., None, 0, :]
+    return _psd_max(paf, plan.cos) <= psd_limit, paf
 
 
 def _in_order(order: np.ndarray, keep: np.ndarray, paf: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -313,8 +291,8 @@ def _a_last_level(plan: _Plan, order: np.ndarray, states: np.ndarray, part: np.n
     each state's joint bound on the kept rows: what _score_block, then
     _psd_max, return state by state (state indices, positions in ``order``,
     int32 PAF_A), in the same order."""
-    first = np.ones(len(parent), dtype=bool)
-    first[1:] = parent[1:] != parent[:-1]
+    first = np.ones(len(parent), dtype=bool)  # each parent's first state; np.diff with
+    first[1:] = parent[1:] != parent[:-1]  # prepend= costs more on these short arrays
     g, kept, paf = _in_order(order, *_a_ceiling(plan, states[first], part[first], psd_limit))
     count = np.bincount(g, minlength=first.sum())
     group = first.cumsum() - 1
@@ -352,16 +330,15 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     every leaf reached is a pair and is emitted as it is.  Even ℓ, which has
     no pair, is refused.
 
-    The plan (_plan) is built once per process for each candidate and shared
-    read-only, like its per-(ℓ, d) tables (_grid) and the option matrices in
-    lex order; a search keeps only its seeded option order, as lex indices
-    per depth, each drawn on first use in depth order (_shuffled: shuffle's
-    swaps, the same as drawing all up front).  Every option of a
+    The option matrices stay in lex order, shared by every search, like the
+    plan's per-(ℓ, d) tables (_grid); a search keeps only its seeded option
+    order, as lex indices per depth, each drawn on first use in depth order
+    (_shuffled: shuffle's swaps, the same as drawing all up front).  Every option of a
     depth is scored at once by an exact float64 product: the PAF gain of
     option v in class j is ``v @ C_j`` plus a term of v alone at shifts ≡ 0
     (mod d), with ``C_j[t, s] = row[i_t + s] + row[i_t - s]``; the unknown
     products depend on the depth only.  The walk scores its one state per
-    depth so (_score_state) down to the tail's first depth (plan.tail),
+    depth so (_score_state) down to the tail's first depth (_tail_start),
     the A side's last step from one PSD cut per frame above it (_a_ceiling
     in lex order, then _a_last_step; with one class the root is that step).
     That frame scores its own options in lex order and takes the cut only
@@ -385,8 +362,8 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     if ell % 2 == 0:
         raise SearchConfigError(f"no Legendre pair has even length, got ℓ={ell}")
     plan = _plan(ell, cand.a, cand.b)
-    steps, classes, plus, _, _, slack, options, _, tail = plan
-    m, nshifts = plus.shape[1:]
+    steps, _, plus, _, _, slack, options, _ = plan
+    d, m, nshifts = plus.shape  # class j is entries j::d; a slice writes faster than its index row
 
     rng = random.Random(cfg.seed)
     orders = []  # per depth drawn so far, the lex index of each option in the seeded order
@@ -401,6 +378,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     result = SearchResult()
     psd_limit = 2 * ell + 2 + PSD_CEILING_TOL if cfg.psd_prune else math.inf
     a_last_step = len(steps) - 2  # the A side is complete after it
+    tail = _tail_start([len(x) for x in options])
     # the walk's frames one B step above it score in lex order and draw
     # their order only once their a_ceiling keeps an option
     above = a_last_step - 1 if a_last_step < tail else -1
@@ -418,7 +396,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         and their scored side's partial PAFs."""
         side, j = steps[depth]
         order = seeded(depth)
-        q = _tail_options(ell, len(cand.a), j, (m - (cand.a, cand.b)[side][j]) // 2)
+        q = _tail_options(ell, d, j, (m - (cand.a, cand.b)[side][j]) // 2)
         chunk = max(1, TAIL_BLOCK // (len(order) * nshifts))
         found = []
         for lo in range(0, len(states), chunk):
@@ -454,20 +432,12 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     def enter(depth: int, part: np.ndarray, ceiling=None) -> list:
         """The walk frame [depth, surviving option indices, their partial PAFs,
         the partial PAFs at entry, survivors walked, options walked, its
-        a_ceiling].  At depth ``above`` the indices are lex until to_seeded."""
+        a_ceiling].  At depth ``above`` the indices are lex until its a_ceiling
+        keeps an option."""
         live, new = (_a_last_step(ceiling, part, slack[depth]) if ceiling else
                      _score_state(plan, depth, lex if depth == above else seeded(depth),
                                   rows[0], part))
         return [depth, live.tolist(), new, part, 0, 0, None]
-
-    def to_seeded(depth: int, live: List[int], new: np.ndarray) -> Tuple[List[int], np.ndarray]:
-        """Survivors given by lex index (ascending) as positions in the
-        depth's seeded order, drawn here if not yet, with their PAFs."""
-        order = seeded(depth)
-        hit = np.zeros(len(order), dtype=bool)
-        hit[live] = True
-        at = hit[order].nonzero()[0]
-        return at.tolist(), new[np.searchsorted(live, order[at])]
 
     def emit_tail(part: np.ndarray) -> Tuple[int, bool]:
         """Score the subtree below the walk's state from the tail's first
@@ -490,7 +460,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
                 s, o, new = level(depth, leaves, part)
             levels.append((s, o))
             leaves = leaves[s]
-            leaves[:, side, classes[j]] = chosen(depth, o)
+            leaves[:, side, j::d] = chosen(depth, o)
             part = part[s]
             part[:, side] = new
         room = budget - nodes
@@ -517,8 +487,9 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         side, j = steps[depth]
         if depth == above and ceiling is None and live:  # its first visit
             ceiling = frame[6] = a_ceiling(part)
-            if len(ceiling[0]):
-                live, new = frame[1:3] = to_seeded(depth, live, new)
+            if len(ceiling[0]):  # score the entry state again, in seeded order
+                live, new = _score_state(plan, depth, seeded(depth), rows[0], part)
+                frame[1:3] = live, new = live.tolist(), new
             else:
                 # every live child's options are pruned: count their subtrees
                 # with the frame's options, and draw no order for it.  Each
@@ -531,7 +502,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             if nodes > budget:
                 nodes, stop = budget, True
                 break
-            rows[0, side, classes[j]] = 0
+            rows[0, side, j::d] = 0
             stack.pop()
             continue
         k = live[pos]
@@ -541,7 +512,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
             break
         nodes += 1
         frame[4:6] = pos + 1, k + 1
-        rows[0, side, classes[j]] = chosen(depth, k)
+        rows[0, side, j::d] = chosen(depth, k)
         child = part.copy()
         child[side] = new[pos]
         if depth + 1 < tail:

@@ -1154,40 +1154,8 @@ class TestPlanSlack:
                 x[(0,) * x.ndim] = 0
 
 
-class TestPlanMemo:
-    """_plan is built once per process for each (ℓ, a, b) and TAIL_OPTIONS,
-    and every search of the candidate shares it read-only."""
-
-    def test_tuples_and_lists_share_one_plan(self):
-        for cand in cached_candidates(9):
-            plan = decompress._plan(45, cand.a, cand.b)
-            assert decompress._plan(45, tuple(cand.a), tuple(cand.b)) is plan
-            assert decompress._plan(45, list(cand.a), list(cand.b)) is plan
-        other = cached_candidates(9)[1]
-        assert decompress._plan(45, other.a, other.b) is not decompress._plan(45, cand.a, cand.b)
-
-    def test_every_array_is_read_only(self):
-        for m in (1, 5, 9):
-            for cand in cached_candidates(m):
-                plan = decompress._plan(5 * m, cand.a, cand.b)
-                arrays = [x for x in plan if isinstance(x, np.ndarray)] + list(plan.options)
-                assert any(x is plan.slack for x in arrays)
-                for x in arrays:
-                    with pytest.raises(ValueError, match="read-only"):
-                        x[(0,) * x.ndim] = 0
-
-    def test_tail_follows_tail_options(self, monkeypatch):
-        """The plan carries _tail_start of its widths under the TAIL_OPTIONS
-        it was built with, so a changed TAIL_OPTIONS gets its own plan."""
-        cand = cached_candidates(5)[0]
-        plan = decompress._plan(25, cand.a, cand.b)
-        assert plan.tail == decompress._tail_start([len(x) for x in plan.options]) < len(plan.steps)
-        monkeypatch.setattr(decompress, "TAIL_OPTIONS", 0)
-        walk = decompress._plan(25, cand.a, cand.b)
-        assert walk is not plan
-        assert walk.tail == len(walk.steps)
-        monkeypatch.undo()
-        assert decompress._plan(25, cand.a, cand.b) is plan
+class TestListCandidate:
+    """_plan reads a candidate's rows as any sequence of ints."""
 
     @pytest.mark.parametrize("ell,budget", [(25, 30_000), (45, 4_000)])
     def test_list_valued_candidate_searches(self, ell, budget):
