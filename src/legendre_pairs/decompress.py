@@ -20,7 +20,6 @@ import numpy as np
 
 from .candgen import CandidatePair
 from .grouptools import LexRankCode, OrbitTable, lex_unrank_masks, orbits
-from .seqcore import paf_rows
 
 # No search calls these any more; the benchmark's tracer (bench/tracing.py)
 # rebinds them by name in this module, so they stay importable from it.
@@ -616,35 +615,41 @@ def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
             yield np.asarray(keys, dtype=dtype)
 
 
-def _orbit_columns(ell: int, table: OrbitTable, p2: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """How a selection's masks [ones | twos | never selected] give its
-    sequence and its filters, both linear in the masks.
+def _orbit_columns(ell: int, table: OrbitTable, p2: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How a selection's masks, one per size class 1, 2 with orbits, give its
+    sequence, its filters and its PAF.
 
     Entry i of a sequence is residue i + 1, and the last entry is residue 0
-    (always +1), as in sequence_from_block; column[i] is the mask column of
-    the orbit holding that residue.  Row c of W sums over orbit c's entries
-    i: the count in each class i mod 5 (when ``p2``), then cos and sin of
-    2π(i + 1)k/ℓ for one frequency k per class of <generators, -1>, on which
-    the PSD is constant.  O and -O make one class, whose least member is
-    min(O[0], ℓ - O[-1]); r·k is reduced mod ℓ before the angle.
-    """
+    (always +1), as in sequence_from_block; column[i] is the column of the
+    orbit holding that residue in [ones | twos | never selected].  Row c of
+    W sums over selectable orbit c's entries i: the count in each class
+    i mod 5 (when ``p2``), then cos and sin of 2π(i + 1)k/ℓ for one
+    frequency k per class of <generators, -1>, on which the PSD is constant.
+    O and -O make one class, whose least member is min(O[0], ℓ - O[-1]);
+    r·k is reduced mod ℓ before the angle.  B[c, s] = Σ cos(2π·sk/ℓ) over
+    the k in class c, for s = 1..ℓ//2."""
     selectable = table.orbits_by_size.get(1, []) + table.orbits_by_size.get(2, [])
     column = np.full(ell, len(selectable))
     for c, orb in enumerate(selectable):
         column[[r - 1 for r in orb]] = c
     i = np.arange(ell)
-    reps = sorted({min(o[0], ell - o[-1]) for orbs in table.orbits_by_size.values() for o in orbs})
+    rep = np.zeros(ell, dtype=int)  # the least member of residue k's class
+    for orb in itertools.chain(*table.orbits_by_size.values()):
+        rep[list(orb)] = min(orb[0], ell - orb[-1])
+    reps = sorted(set(rep[1:].tolist()))
     angle = 2 * np.pi / ell * ((i[:, None] + 1) * reps % ell)
-    member = column == np.arange(len(selectable) + 1)[:, None]
+    member = column == np.arange(len(selectable))[:, None]
     w = member @ np.concatenate((i[:, None] % 5 == np.arange(5 * p2), np.cos(angle), np.sin(angle)),
                                 1, dtype=np.float64)
-    for a in (column, w):  # shared by searches; _orbit_filter squares its product in place
+    b = np.equal.outer(reps, rep[1:]) @ np.cos(2 * np.pi / ell * (i[1:, None] * i[1:ell // 2 + 1] % ell))
+    for a in (column, w, b):  # shared by searches; _orbit_filter squares its product in place
         a.flags.writeable = False
-    return column, w
+    return column, w, b
 
 
 @functools.lru_cache(maxsize=64)
-def _orbit_setup(ell: int, generators: Tuple[int, ...], p2: bool) -> Tuple[OrbitTable, np.ndarray, np.ndarray]:
+def _orbit_setup(ell: int, generators: Tuple[int, ...],
+                 p2: bool) -> Tuple[OrbitTable, np.ndarray, np.ndarray, np.ndarray]:
     """orbit_search's orbit table and _orbit_columns, which depend on (ℓ,
     generators, p2) alone.  Read-only: every search with them shares them.
     A miss calls this module's ``orbits`` by name, as the benchmark's tracer
@@ -653,18 +658,22 @@ def _orbit_setup(ell: int, generators: Tuple[int, ...], p2: bool) -> Tuple[Orbit
     return (table,) + _orbit_columns(ell, table, p2)
 
 
-def _orbit_filter(ell: int, masks: np.ndarray, w: np.ndarray, p2: bool, limit: float) -> np.ndarray:
-    """Which selections pass the p2 prefilter (when ``p2``) and the PSD
-    ceiling ``limit`` (math.inf keeps every one), from one float64 GEMM
-    z = Wᵀ @ masksᵀ (_orbit_columns), features × selections, so that both
-    tests reduce over axis 0 of z and square it in place.
+def _orbit_filter(ell: int, masks: list, w: np.ndarray, b: np.ndarray, p2: bool, limit: float) -> tuple:
+    """Indices of the selections passing the p2 prefilter (when ``p2``) and
+    the PSD ceiling ``limit`` (math.inf keeps all), and their int32 PAF rows
+    at shifts 1..ℓ//2, from z = Wᵀ @ [ones | twos]ᵀ, features × selections.
 
     p2 is exact: z holds integers of magnitude at most ℓ.  For k != 0,
     DFT_k = -2 Σ ω^(rk) over the selected residues r, so PSD_k = 4(Re² + Im²);
     its error is at most 8ℓ³·2**-53, far below PSD_CEILING_TOL.  A side of a
     pair has PSD <= 2ℓ + 2 at every k != 0, so this and the FFT of the ±1 row
-    can only disagree on selections that no pair contains."""
-    z = w.T @ masks.T.astype(np.float64)
+    can only disagree on selections that no pair contains.  PSD_0 = 1, as a
+    block has (ℓ - 1)/2 entries, so PAF(s) = (1 + Σ_c PSD_c·B[c, s]) / ℓ
+    (Wiener–Khinchin), within 9ℓ³·2**-53 (under 1e-8 for ℓ <= 200) before
+    rint: 8ℓ³·2**-53 from the ℓ - 1 PSD errors over ℓ, and about ℓ²·2**-53
+    each from rounding B and the product, whose terms sum to at most ℓ² in
+    absolute value (Parseval)."""
+    z = w.T @ np.concatenate(masks, 1, dtype=np.float64).T
     half = (len(z) + 5 * p2) // 2
     re, im = z[5 * p2:half], z[half:]
     np.square(re, out=re)
@@ -673,7 +682,8 @@ def _orbit_filter(ell: int, masks: np.ndarray, w: np.ndarray, p2: bool, limit: f
     if p2:
         m5 = ell // 5
         keep &= ((m5 - 2 * z[:5]) ** 2).sum(0) == 4 * m5 + 1
-    return keep
+    live = np.flatnonzero(keep)
+    return live, np.rint((1 + 4 * (re[:, live].T @ b)) / ell).astype(np.int32)
 
 
 def _match(pool: Dict[bytes, List[int]], pafs: np.ndarray, first: int, found: bytearray,
@@ -711,21 +721,22 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     filters, the exact compressed square-sum when 5 | ℓ and the PSD ceiling
     (math.inf with psd_prune off), run on the masks in orbit space
     (_orbit_filter: one GEMM per batch, one frequency per class of
-    <generators, -1>).  The survivors alone get int8 ±1 rows and exact PAF
-    rows; _match pools them by number (0, 1, ... in selection order) and
-    records every exact complement, PAF_A + PAF_B = -2, unchecked, as two
-    numbers.  So budgets and max_solutions stop at the same selection as one
-    at a time: the last batch is cut at the budget, and a max_solutions stop
-    counts the selections up to the survivor that reached it.  One gather
-    then builds a tuple and a codes dict per distinct matched survivor from
-    the batches' kept rows and ranks.  Nodes count distinct selections, so
-    the search is exhausted when they reach C(n1, k1)·C(n2, k2).
+    <generators, -1>), which also gives the survivors' exact PAF rows from
+    their spectra.  _match pools them by number (0, 1, ... in selection
+    order) and records every exact complement, PAF_A + PAF_B = -2,
+    unchecked, as two numbers.  So budgets and max_solutions stop at the
+    same selection as one at a time: the last batch is cut at the budget,
+    and a max_solutions stop counts the selections up to the survivor that
+    reached it.  One gather then lays out ±1 rows for the distinct matched
+    survivors alone, from the batches' kept masks and ranks, and builds a
+    tuple and a codes dict for each.  Nodes count distinct selections, so the
+    search is exhausted when they reach C(n1, k1)·C(n2, k2).
     """
     cfg.validate()
     if cfg.strategy != "orbit_restricted":
         raise SearchConfigError("orbit_search requires strategy='orbit_restricted'")
     p2 = ell % 5 == 0 and cfg.p2_prefilter
-    table, column, w = _orbit_setup(ell, tuple(cfg.subgroup_generators), p2)
+    table, column, w, b = _orbit_setup(ell, tuple(cfg.subgroup_generators), p2)
     n1 = table.class_count(1)
     n2 = table.class_count(2)
     k1, k2 = cfg.ones_orbits, cfg.twos_orbits
@@ -742,21 +753,17 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
 
     result = SearchResult()
     pool: Dict[bytes, List[int]] = {}  # PAF at shifts 1..ℓ//2 -> survivor numbers
-    kept: List[Tuple[np.ndarray, ...]] = []  # each batch's survivor rows, ranks1, ranks2
+    kept: List[List[np.ndarray]] = []  # each batch's survivor masks (per class with orbits), ranks1, ranks2
     found = bytearray()  # survivor numbers, (earlier, later) per pair, as int64
     space1 = math.comb(n1, k1)
     nodes = survivors = 0
     for batch in _selections(cfg, n1, n2):
         batch = batch[:cfg.budget_nodes - nodes]
-        ranks1, ranks2 = batch % space1, batch // space1
-        twos = lex_unrank_masks(n2, k2, ranks2) if n2 else np.zeros((len(batch), 0), dtype=bool)
-        masks = np.concatenate((lex_unrank_masks(n1, k1, ranks1), twos,
-                                np.zeros((len(batch), 1), dtype=bool)), 1)
-        live = np.flatnonzero(_orbit_filter(ell, masks, w, p2, limit))
+        ranks = [batch % space1, batch // space1]
+        masks = [lex_unrank_masks(n, k, r) for n, k, r in zip((n1, n2), (k1, k2), ranks) if n]
+        live, pafs = _orbit_filter(ell, masks, w, b, p2, limit)
         if live.size:  # most ℓ=55 and ℓ=85 batches have no survivor
-            rows = 1 - 2 * masks[live][:, column].view(np.int8)
-            pafs = paf_rows(rows.astype(np.int32), ell // 2 + 1)[:, 1:]  # |PAF| <= ℓ
-            kept.append((rows, ranks1[live], ranks2[live]))
+            kept.append([a[live] for a in masks + ranks])
             last = _match(pool, pafs, survivors, found, cfg.max_solutions)
             survivors += live.size
             if last is not None:
@@ -767,13 +774,14 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
             break
 
     if found:
-        rows, ranks1, ranks2 = map(np.concatenate, zip(*kept))
         ends = np.frombuffer(found, np.int64)
         numbers = np.flatnonzero(np.bincount(ends))  # not np.unique, whose sort adds ≈0.7 MB RSS
         ends = numbers.searchsorted(ends)
-        seqs = np.fromiter(map(tuple, rows[numbers].tolist()), object, len(numbers))
+        *masks, ranks1, ranks2 = (np.concatenate(a)[numbers] for a in zip(*kept))
+        rows = 1 - 2 * np.concatenate(masks + [np.zeros((len(numbers), 1), bool)], 1)[:, column].view(np.int8)
+        seqs = np.fromiter(map(tuple, rows.tolist()), object, len(numbers))
         codes = np.fromiter(({1: (n1, k1, r1), 2: (n2, k2, r2)} if n2 else {1: (n1, k1, r1)} for r1, r2
-                             in zip(ranks1[numbers].tolist(), ranks2[numbers].tolist())), object, len(numbers))
+                             in zip(ranks1.tolist(), ranks2.tolist())), object, len(numbers))
         result.pairs = list(zip(seqs[ends[0::2]], seqs[ends[1::2]]))
         result.codes = list(zip(codes[ends[0::2]], codes[ends[1::2]]))
     result.nodes_visited = nodes

@@ -24,7 +24,7 @@ from legendre_pairs.decompress import (
 )
 from legendre_pairs.grouptools import GroupError, lex_unrank_masks, orbits
 from legendre_pairs.refdata import ell85, x_table
-from legendre_pairs.seqcore import compress, paf, psd_vector, verify_legendre_pair
+from legendre_pairs.seqcore import compress, paf, paf_rows, psd_vector, verify_legendre_pair
 
 
 def oracle_realizations(ell, cand):
@@ -1436,7 +1436,9 @@ class TestOrbitFilter:
     """The orbit-space filters (one float64 GEMM against _orbit_columns' W)
     against the ±1-row path: the compressed rows' p2 sums exactly, the PSD
     maximum over the frequency classes within 1e-9 of the FFT's over every
-    k != 0, and the same survivors as the square-sum then psd_vector."""
+    k != 0, the same survivors as the square-sum then psd_vector, and the
+    survivors' PAF rows, taken from their spectra through B, equal to
+    paf_rows' and within 1e-9 of an integer before rounding."""
 
     @pytest.mark.parametrize("ell, gens, k1, k2", [
         (15, (1,), 7, 0),
@@ -1450,22 +1452,23 @@ class TestOrbitFilter:
         table = orbits(ell, gens)
         n1, n2 = table.class_count(1), table.class_count(2)
         p2 = ell % 5 == 0
-        column, w = decompress._orbit_columns(ell, table, p2)
-        assert not w.flags.writeable  # _orbit_filter squares in place
+        column, w, b = decompress._orbit_columns(ell, table, p2)
+        assert not w.flags.writeable and not b.flags.writeable  # _orbit_filter squares in place
         # one frequency per orbit of <generators, -1>: 26 at ℓ=85, 14 at ℓ=45
         classes = orbits(ell, gens + (ell - 1,)).orbits_by_size.values()
         assert w.shape[1] == 5 * p2 + 2 * sum(map(len, classes))
+        assert b.shape == (sum(map(len, classes)), ell // 2)
         rnd = random.Random(ell)
         count = 3000
         ranks = [[rnd.randrange(math.comb(n, k)) for _ in range(count)]
                  for n, k in ((n1, k1), (n2, k2))]
         if ell == 85:  # random ℓ=85 selections almost never pass: add pairs' sides
             ranks = [r + list(h) for r, h in zip(ranks, zip(*l85_hints()))]
-        masks = np.concatenate((lex_unrank_masks(n1, k1, ranks[0]),
-                                lex_unrank_masks(n2, k2, ranks[1]),
-                                np.zeros((len(ranks[0]), 1), dtype=bool)), 1)
+        parts = [lex_unrank_masks(n1, k1, ranks[0]), lex_unrank_masks(n2, k2, ranks[1])]
+        parts = [m for m in parts if m.shape[1]]  # the size classes with orbits
+        masks = np.concatenate(parts + [np.zeros((len(ranks[0]), 1), dtype=bool)], 1)
         rows = 1 - 2 * masks[:, column].astype(np.int64)
-        z = masks.astype(np.float64) @ w
+        z = masks[:, :-1].astype(np.float64) @ w
         old = np.ones(len(rows), dtype=bool)
         if p2:
             compressed = rows.reshape(len(rows), ell // 5, 5).sum(1)
@@ -1475,15 +1478,21 @@ class TestOrbitFilter:
         re, im = np.split(z[:, 5 * p2:], 2, axis=1)
         psd = psd_vector(rows)[:, 1:].max(1)
         np.testing.assert_allclose(4 * (re * re + im * im).max(1), psd, rtol=0, atol=1e-9)
+        exact = paf_rows(rows, ell // 2 + 1)[:, 1:]
+        # Wiener–Khinchin through B, before rounding, on every selection
+        np.testing.assert_allclose((1 + 4 * (re * re + im * im) @ b) / ell, exact, rtol=0, atol=1e-9)
         limit = 2 * ell + 2 + decompress.PSD_CEILING_TOL
         old &= psd <= limit
-        keep = decompress._orbit_filter(ell, masks, w, p2, limit)
-        np.testing.assert_array_equal(keep, old)
+        live, pafs = decompress._orbit_filter(ell, parts, w, b, p2, limit)
+        np.testing.assert_array_equal(live, np.flatnonzero(old))
+        assert pafs.dtype == np.int32
+        np.testing.assert_array_equal(pafs, exact[live])
+        if ell == 85:  # every pair side survives
+            np.testing.assert_array_equal(live[live >= count], np.arange(count, len(rows)))
         # psd_prune off: an infinite ceiling leaves the p2 test alone
-        np.testing.assert_array_equal(decompress._orbit_filter(ell, masks, w, p2, math.inf),
-                                      p2_pass)
-        if ell == 85:
-            assert keep[count:].all()
+        live, pafs = decompress._orbit_filter(ell, parts, w, b, p2, math.inf)
+        np.testing.assert_array_equal(live, np.flatnonzero(p2_pass))
+        np.testing.assert_array_equal(pafs, exact[live])
 
 
 def orbit_sha256(res):
