@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, file formats, manifests."""
 
+import argparse
 import hashlib
 import json
 
@@ -375,6 +376,118 @@ class TestGoldenDigests:
         assert result_digest(out) == ORBIT_L85_HINTED
 
 
+# every subcommand's help and its actions as (option strings, dest, default,
+# type, nargs, required, choices, help), argparse's own -h left out; recorded
+# from build_parser() before the option groups were shared
+PARSER_SPEC = {
+    "verify": ("exact Legendre-pair test on two sequence files", {
+        ((), "file_a", None, None, None, True, None, None),
+        ((), "file_b", None, None, None, True, None, None),
+    }),
+    "compress": ("m-compress every sequence in a file", {
+        ((), "file", None, None, None, True, None, None),
+        (("-m",), "m", None, "int", None, True, None, None),
+    }),
+    "psd": ("power spectral density of sequences in a file", {
+        ((), "file", None, None, None, True, None, None),
+        (("-k",), "k", None, "int", None, False, None, None),
+    }),
+    "dioph": ("all-odd five-square solutions of 4m+1", {
+        (("--json",), "json", False, None, 0, False, None, None),
+        (("-m",), "m", None, "int", None, True, None, None),
+    }),
+    "candidates": ("generate candidate compressed pairs", {
+        (("--budget",), "budget", None, "int", None, False, None, None),
+        (("--ell",), "ell", None, "int", None, False, None, None),
+        (("--out",), "out", None, None, None, True, None, None),
+        (("--profile",), "profile", None, None, None, False, None, "JSON generation profile"),
+        (("--seed",), "seed", 0, "int", None, False, None, None),
+        (("--x",), "x", None, "int", "*", False, None, None),
+    }),
+    "decompress": ("search full pairs for candidate file", {
+        (("--budget",), "budget", 10000000, "int", None, False, None, None),
+        (("--candidates",), "candidates", None, None, None, True, None, None),
+        (("--jobs",), "jobs", 1, "int", None, False, None, None),
+        (("--max-solutions",), "max_solutions", 0, "int", None, False, None, None),
+        (("--out",), "out", None, None, None, True, None, None),
+        (("--seed",), "seed", 0, "int", None, False, None, None),
+    }),
+    "search-orbit": ("orbit-restricted whole-sequence search", {
+        (("--budget",), "budget", 100000, "int", None, False, None, None),
+        (("--ell",), "ell", None, "int", None, True, None, None),
+        (("--exhaustive",), "exhaustive", False, None, 0, False, None, None),
+        (("--gen",), "gen", None, "int", "+", True, None, None),
+        (("--hints",), "hints", None, None, None, False, None,
+         "JSON list of [ones_rank, twos_rank]"),
+        (("--max-solutions",), "max_solutions", 0, "int", None, False, None, None),
+        (("--ones",), "ones", None, "int", None, True, None, None),
+        (("--out",), "out", None, None, None, False, None, None),
+        (("--seed",), "seed", 0, "int", None, False, None, None),
+        (("--twos",), "twos", 0, "int", None, False, None, None),
+    }),
+    "orbits": ("multiplier orbits on Z_ℓ \\ {0}", {
+        (("--ell",), "ell", None, "int", None, True, None, None),
+        (("--gen",), "gen", None, "int", "+", True, None, None),
+    }),
+    "rank": ("lexicographic rank of an ascending subset", {
+        (("--set",), "set", None, None, None, True, None, None),
+        (("-N",), "N", None, "int", None, True, None, None),
+    }),
+    "unrank": ("decode a lexicographic subset rank", {
+        (("-N",), "N", None, "int", None, True, None, None),
+        (("-k",), "k", None, "int", None, True, None, None),
+        (("-r",), "r", None, "int", None, True, None, None),
+    }),
+    "decode-pair": ("decode LexRank codes to two sequences", {
+        (("--codes",), "codes", None, None, None, True, None,
+         'JSON {"a": {"1": {"k":..,"rank":..}, ...}, "b": ...}'),
+        (("--ell",), "ell", None, "int", None, True, None, None),
+        (("--gen",), "gen", None, "int", "+", True, None, None),
+    }),
+    "reproduce": ("recompute a bundled reference section", {
+        ((), "section", None, None, None, True,
+         ("table1-small", "dioph-all", "ell85-decode", "ell87-verify"), None),
+    }),
+    "pipeline": ("dioph → candidates → decompress end-to-end", {
+        (("--budget",), "budget", 10000000, "int", None, False, None, None),
+        (("--ell",), "ell", None, "int", None, True, None, None),
+        (("--jobs",), "jobs", 1, "int", None, False, None, None),
+        (("--max-solutions",), "max_solutions", 0, "int", None, False, None, None),
+        (("--out",), "out", None, None, None, False, None, None),
+        (("--seed",), "seed", 0, "int", None, False, None, None),
+        (("--x",), "x", None, "int", "*", False, None, None),
+    }),
+}
+
+
+def action_spec(parser):
+    return {
+        (tuple(a.option_strings), a.dest, a.default, getattr(a.type, "__name__", a.type),
+         a.nargs, a.required, None if a.choices is None else tuple(a.choices), a.help)
+        for a in parser._actions if a.dest != "help"
+    }
+
+
+class TestParserSpec:
+    def test_every_subcommand_keeps_its_arguments(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        helps = {c.dest: c.help for c in sub._choices_actions}
+        got = {name: (helps[name], action_spec(p)) for name, p in sub.choices.items()}
+        assert got == PARSER_SPEC
+        assert list(sub.choices) == list(PARSER_SPEC)
+
+
+# exit code and sha256 of each section's full stdout, recorded before the
+# sections were put in one registry
+REPRODUCE_STDOUT = {
+    "table1-small": "686e11cc4ff0f4d706fbf1dada2722198e2d65d5effde3ac1ab41f664042c361",
+    "dioph-all": "d49e3d174d06bce6faf42e1941806b87e8e79fad21e2c303ce5a73f76f8a1362",
+    "ell85-decode": "69cfb9a9b26ef0d45b14ec811240b3d85e5324a44979657d5e4b18bd03111e9e",
+    "ell87-verify": "1e97aa020067ec376824cc3719901d4d257b4bcd97842b30a87a503207e1edb8",
+}
+
+
 class TestReproduce:
     @pytest.mark.parametrize("section", ["dioph-all", "ell87-verify", "ell85-decode"])
     def test_witness_sections_pass(self, section, capsys):
@@ -390,3 +503,9 @@ class TestReproduce:
         assert "ℓ=15 x-set: OK" in out
         assert "reference: stated [2] as coefficient of √5 = x [4]" in out
         assert rc == 0 and "MISMATCH" not in out
+
+    @pytest.mark.parametrize("section", list(REPRODUCE_STDOUT))
+    def test_stdout_digest_and_exit_code(self, section, capsys):
+        assert main(["reproduce", section]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPRODUCE_STDOUT[section]
