@@ -327,19 +327,22 @@ def cmd_unrank(args) -> int:
     return EXIT_OK
 
 
+def _decode(table, spec):
+    """The block and ±1 sequence of one side, from its {size: (k, rank)} codes."""
+    codes = {size: LexRankCode(table.class_count(size), k, rank)
+             for size, (k, rank) in spec.items()}
+    block = block_from_codes(table, codes)
+    return block, sequence_from_block(block)
+
+
 def cmd_decode_pair(args) -> int:
     spec = _read_json(args.codes, "LexRank code file", _parse_codes)
     table = orbits(args.ell, args.gen)
-    out = []
+    seqs = []
     for side in ("a", "b"):
-        codes = {
-            size: LexRankCode(n=table.class_count(size), k=k, rank=rank)
-            for size, (k, rank) in spec[side].items()
-        }
-        seq = sequence_from_block(block_from_codes(table, codes))
-        out.append(seq)
-        print(format_sequence(seq))
-    rep = verify_legendre_pair(out[0], out[1])
+        seqs.append(_decode(table, spec[side])[1])
+        print(format_sequence(seqs[-1]))
+    rep = verify_legendre_pair(*seqs)
     print(f"# legendre_pair={rep.is_legendre_pair} x={rep.x_value}", file=sys.stderr)
     return EXIT_OK if rep.is_legendre_pair else EXIT_NEGATIVE
 
@@ -360,9 +363,9 @@ def _reproduce_dioph_all() -> bool:
     for m_str, entry in sorted(golden.items(), key=lambda kv: int(kv[0])):
         m = int(m_str)
         sols = [list(s) for s in odd_five_squares(m)]
-        ruled = [list(s) for s in odd_five_squares(m) if not admits_unit_sum(s)]
         ok &= _diff_report(f"solutions m={m}", sols, entry["solutions"])
-        ok &= _diff_report(f"ruled-out m={m}", ruled, entry["ruled_out"])
+        ok &= _diff_report(f"ruled-out m={m}", [s for s in sols if not admits_unit_sum(s)],
+                           entry["ruled_out"])
     return ok
 
 
@@ -372,66 +375,37 @@ def _reproduce_ell87() -> bool:
     for i, pair in enumerate(data["pairs"], 1):
         rep = verify_legendre_pair(pair["a"], pair["b"])
         ok &= _diff_report(f"pair {i} verifies", rep.is_legendre_pair, True)
-        ok &= _diff_report(
-            f"pair {i} A-compression",
-            list(compress(pair["a"], data["m"])),
-            data["compressed_a"],
-        )
-        ok &= _diff_report(
-            f"pair {i} B-compression",
-            list(compress(pair["b"], data["m"])),
-            data["compressed_b"],
-        )
+        for side in ("a", "b"):
+            ok &= _diff_report(f"pair {i} {side.upper()}-compression",
+                               list(compress(pair[side], data["m"])), data[f"compressed_{side}"])
     return ok
 
 
 def _reproduce_ell85() -> bool:
     data = refdata.ell85()
-    ell = data["ell"]
-    table = orbits(ell, data["generators"])
-    first = data["first_pair"]
-    n1 = len(table.orbits_by_size[1])
-    n2 = len(table.orbits_by_size[2])
+    table = orbits(data["ell"], data["generators"])
+    first, m = data["first_pair"], data["m"]
     k1, k2 = data["ones_orbits"], data["twos_orbits"]
     ok = True
-    seqs = {}
-    for idx, cp in enumerate(data["code_pairs"]):
-        pair_seqs = []
+    for idx, cp in enumerate(data["code_pairs"], 1):
+        pair = []
         for side in ("a", "b"):
-            codes = {
-                1: LexRankCode(n1, k1, cp[side]["ones"]),
-                2: LexRankCode(n2, k2, cp[side]["twos"]),
-            }
-            block = block_from_codes(table, codes)
-            pair_seqs.append(sequence_from_block(block))
-            if idx == 0:
-                want = sorted(first[f"{side}_block"])
-                ok &= _diff_report(
-                    f"pair 1 {side}-block", list(block.positions), want
-                )
-        rep = verify_legendre_pair(*pair_seqs)
-        ok &= _diff_report(f"code pair {idx + 1} verifies", rep.is_legendre_pair, True)
-        seqs[idx] = pair_seqs
-    a1, b1 = seqs[0]
-    m = data["m"]
-    ok &= _diff_report(
-        "pair 1 A 17-compression", list(compress(a1, m)), first["a_compressed"]
-    )
-    ok &= _diff_report(
-        "pair 1 B 17-compression", list(compress(b1, m)), first["b_compressed"]
-    )
-    rep = verify_legendre_pair(a1, b1)
-    ok &= _diff_report("pair 1 x", rep.x_value, first["x"])
-    ok &= _diff_report(
-        "pair 1 PSD_A within 1e-6",
-        abs(psd(a1, m) - first["psd_a_at_m"]) < 1e-6,
-        True,
-    )
-    ok &= _diff_report(
-        "pair 1 PSD_B within 1e-6",
-        abs(psd(b1, m) - first["psd_b_at_m"]) < 1e-6,
-        True,
-    )
+            block, seq = _decode(table, {1: (k1, cp[side]["ones"]), 2: (k2, cp[side]["twos"])})
+            pair.append(seq)
+            if idx == 1:
+                ok &= _diff_report(f"pair 1 {side}-block", list(block.positions),
+                                   sorted(first[f"{side}_block"]))
+        rep = verify_legendre_pair(*pair)
+        ok &= _diff_report(f"code pair {idx} verifies", rep.is_legendre_pair, True)
+        if idx == 1:
+            pair1, x1 = pair, rep.x_value
+    for side, seq in zip("ab", pair1):
+        ok &= _diff_report(f"pair 1 {side.upper()} {m}-compression", list(compress(seq, m)),
+                           first[f"{side}_compressed"])
+    ok &= _diff_report("pair 1 x", x1, first["x"])
+    for side, seq in zip("ab", pair1):
+        ok &= _diff_report(f"pair 1 PSD_{side.upper()} within 1e-6",
+                           abs(psd(seq, m) - first[f"psd_{side}_at_m"]) < 1e-6, True)
     return ok
 
 
@@ -451,8 +425,7 @@ def _reproduce_table1_small() -> bool:
             p2_prefilter=False,
             budget_nodes=10**7,
         )
-        res = orbit_search(ell, cfg)
-        xs = {abs(verify_legendre_pair(A, B).x_value) for A, B in res.pairs}
+        xs = {abs(x) for x in verify_pairs(orbit_search(ell, cfg).pairs)[1]}
         row = rows[ell]
         ok &= _diff_report(f"ℓ={ell} x-set", sorted(xs), sorted(row["x"]))
         unit = row["unit"].replace("sqrt", "√")
@@ -463,15 +436,17 @@ def _reproduce_table1_small() -> bool:
     return ok
 
 
+# the sections of `lp reproduce`, in the order the parser lists them
+REPRODUCE = {
+    "table1-small": _reproduce_table1_small,
+    "dioph-all": _reproduce_dioph_all,
+    "ell85-decode": _reproduce_ell85,
+    "ell87-verify": _reproduce_ell87,
+}
+
+
 def cmd_reproduce(args) -> int:
-    drivers = {
-        "dioph-all": _reproduce_dioph_all,
-        "ell87-verify": _reproduce_ell87,
-        "ell85-decode": _reproduce_ell85,
-        "table1-small": _reproduce_table1_small,
-    }
-    ok = drivers[args.section]()
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return EXIT_OK if REPRODUCE[args.section]() else EXIT_NEGATIVE
 
 
 def cmd_pipeline(args) -> int:
@@ -493,27 +468,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="exact Legendre-pair test on two sequence files")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    # option groups shared by several subcommands, added where each lists
+    # them so that --help and usage lines keep their order
+    def orbit_options(p):
+        p.add_argument("--ell", type=int, required=True)
+        p.add_argument("--gen", type=int, nargs="+", required=True)
+
+    def run_options(p):
+        p.add_argument("--budget", type=int, default=10**7)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--max-solutions", type=int, default=0)
+
+    p = command("verify", cmd_verify, "exact Legendre-pair test on two sequence files")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("compress", help="m-compress every sequence in a file")
+    p = command("compress", cmd_compress, "m-compress every sequence in a file")
     p.add_argument("file")
     p.add_argument("-m", type=int, required=True)
-    p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("psd", help="power spectral density of sequences in a file")
+    p = command("psd", cmd_psd, "power spectral density of sequences in a file")
     p.add_argument("file")
     p.add_argument("-k", type=int, default=None)
-    p.set_defaults(func=cmd_psd)
 
-    p = sub.add_parser("dioph", help="all-odd five-square solutions of 4m+1")
+    p = command("dioph", cmd_dioph, "all-odd five-square solutions of 4m+1")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dioph)
 
-    p = sub.add_parser("candidates", help="generate candidate compressed pairs")
+    p = command("candidates", cmd_candidates, "generate candidate compressed pairs")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--ell", type=int)
     source.add_argument("--profile", help="JSON generation profile")
@@ -521,20 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_candidates)
 
-    p = sub.add_parser("decompress", help="search full pairs for candidate file")
+    p = command("decompress", cmd_decompress, "search full pairs for candidate file")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--budget", type=int, default=10**7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-solutions", type=int, default=0)
+    run_options(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decompress)
 
-    p = sub.add_parser("search-orbit", help="orbit-restricted whole-sequence search")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--gen", type=int, nargs="+", required=True)
+    p = command("search-orbit", cmd_search_orbit, "orbit-restricted whole-sequence search")
+    orbit_options(p)
     p.add_argument("--ones", type=int, required=True)
     p.add_argument("--twos", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
@@ -543,46 +525,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--hints", default=None, help="JSON list of [ones_rank, twos_rank]")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_search_orbit)
 
-    p = sub.add_parser("orbits", help="multiplier orbits on Z_ℓ \\ {0}")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--gen", type=int, nargs="+", required=True)
-    p.set_defaults(func=cmd_orbits)
+    orbit_options(command("orbits", cmd_orbits, "multiplier orbits on Z_ℓ \\ {0}"))
 
-    p = sub.add_parser("rank", help="lexicographic rank of an ascending subset")
+    p = command("rank", cmd_rank, "lexicographic rank of an ascending subset")
     p.add_argument("-N", type=int, required=True)
     p.add_argument("--set", required=True)
-    p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("unrank", help="decode a lexicographic subset rank")
+    p = command("unrank", cmd_unrank, "decode a lexicographic subset rank")
     p.add_argument("-N", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
-    p.set_defaults(func=cmd_unrank)
 
-    p = sub.add_parser("decode-pair", help="decode LexRank codes to two sequences")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--gen", type=int, nargs="+", required=True)
+    p = command("decode-pair", cmd_decode_pair, "decode LexRank codes to two sequences")
+    orbit_options(p)
     p.add_argument("--codes", required=True, help='JSON {"a": {"1": {"k":..,"rank":..}, ...}, "b": ...}')
-    p.set_defaults(func=cmd_decode_pair)
 
-    p = sub.add_parser("reproduce", help="recompute a bundled reference section")
-    p.add_argument(
-        "section",
-        choices=["table1-small", "dioph-all", "ell85-decode", "ell87-verify"],
-    )
-    p.set_defaults(func=cmd_reproduce)
+    p = command("reproduce", cmd_reproduce, "recompute a bundled reference section")
+    p.add_argument("section", choices=REPRODUCE)
 
-    p = sub.add_parser("pipeline", help="dioph → candidates → decompress end-to-end")
+    p = command("pipeline", cmd_pipeline, "dioph → candidates → decompress end-to-end")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--x", type=int, nargs="*", default=None)
-    p.add_argument("--budget", type=int, default=10**7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-solutions", type=int, default=0)
+    run_options(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 
