@@ -1,12 +1,13 @@
 """Command-line contract: exit codes, file formats, manifests."""
 
 import argparse
+import copy
 import hashlib
 import json
 
 import pytest
 
-from legendre_pairs import cli
+from legendre_pairs import cli, refdata
 from legendre_pairs.candgen import GenerationProfile, candidates_d5, candidates_general
 from legendre_pairs.cli import main
 from legendre_pairs.decompress import SearchResult
@@ -55,6 +56,24 @@ class TestVerifyCommand:
     def test_length_mismatch_exits_two(self, tmp_path):
         fa, fb = write_pair(tmp_path, (1, 1, -1), (1, 1, 1, 1, -1))
         assert main(["verify", fa, fb]) == 2
+
+    def test_length_five_reports_x_and_exact_psd(self, tmp_path, capsys):
+        fa, fb = write_pair(tmp_path, (1, 1, 1, -1, -1), (1, 1, -1, 1, -1))
+        assert main(["verify", fa, fb]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "Legendre pair of length 5: yes",
+            "x = 4",
+            "n1, n2 = 6, 6 (n1 + n2 = 12, 2ℓ+2 = 12)",
+            "PSD_A(1) = 6 + (2)*sqrt(5) = 10.4721360  (float 10.4721360)",
+            "PSD_B(1) = 6 + (-2)*sqrt(5) = 1.5278640  (float 1.5278640)",
+        ]
+
+    def test_two_sequence_lines_exit_two(self, tmp_path, capsys):
+        fa = tmp_path / "two.txt"
+        fa.write_text("1,1,-1\n1,1,-1\n")
+        _, fb = write_pair(tmp_path, (1, 1, -1), (1, 1, -1))
+        assert main(["verify", str(fa), fb]) == 2
+        assert f"{fa}: expected exactly one sequence line" in capsys.readouterr().err
 
 
 class TestSmallCommands:
@@ -232,6 +251,23 @@ class TestPipelineAndFiles:
 
     def test_pipeline_rejects_bad_length(self, capsys):
         assert main(["pipeline", "--ell", "21"]) == 2
+
+    def test_candidates_ell_not_multiple_of_five_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "c14.json"
+        assert main(["candidates", "--ell", "14", "--out", str(out)]) == 2
+        assert "lengths not divisible by 5 need --profile" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_search_without_out_writes_pairs_to_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["search-orbit", "--ell", "7", "--gen", "1", "--ones", "3",
+                     "--exhaustive"]) == 0
+        *pairs, summary = capsys.readouterr().out.splitlines()
+        assert len(pairs) == 2 * 36
+        assert all(len(parse_sequence(line)) == 7 for line in pairs)
+        assert summary.startswith(
+            "found 36 pair(s), |x| values [], visited 20 selections, exhausted=True")
+        assert list(tmp_path.iterdir()) == []
 
     def test_candidates_inconsistent_m(self, tmp_path):
         # m is fixed by the input: ℓ/5 for --ell, the profile's own for --profile
@@ -509,3 +545,14 @@ class TestReproduce:
         assert main(["reproduce", section]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPRODUCE_STDOUT[section]
+
+    def test_mismatch_exits_one_and_prints_both_values(self, capsys, monkeypatch):
+        data = copy.deepcopy(ell87())
+        want = list(data["compressed_b"])
+        data["compressed_b"][0] += 2
+        monkeypatch.setattr(refdata, "ell87", lambda: data)
+        assert main(["reproduce", "ell87-verify"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        at = out.index("pair 1 B-compression: MISMATCH")
+        assert out[at + 1:at + 3] == [f"  computed: {want}",
+                                      f"  reference: {data['compressed_b']}"]

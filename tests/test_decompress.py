@@ -1709,3 +1709,27 @@ class TestMatch:
         rows = match_rows([7, 7], [-2, -1], [1, 1], [-2, -1], [-3, -4])
         assert decompress._match(pool, rows, 2, found, want) == stop
         assert np.frombuffer(found, np.int64).tolist() == [0, 3, 1, 3, 0, 5, 1, 5][:2 * pairs]
+
+
+ORBIT_L15 = dict(strategy="orbit_restricted", subgroup_generators=(1,))
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SearchConfig(budget_nodes=0).validate(), "budget_nodes must be positive"),
+        (lambda: SearchConfig(strategy="grid").validate(), "unknown strategy 'grid'"),
+        (lambda: SearchConfig(strategy="orbit_restricted").validate(),
+         "orbit_restricted needs subgroup_generators"),
+        (lambda: uncompress_search(15, CandidatePair(a=(1, 1, -1, 1), b=(1, 1, -1, 1), ell=15, m=4),
+                                   SearchConfig()),
+         "candidate shape 4 does not divide ℓ=15"),
+        (lambda: uncompress_search(15, candidates_d5(3)[0], SearchConfig(**ORBIT_L15)),
+         "uncompress_search requires strategy='backtrack'"),
+        (lambda: orbit_search(15, SearchConfig()), "orbit_search requires strategy='orbit_restricted'"),
+        (lambda: orbit_search(15, SearchConfig(**ORBIT_L15, ones_orbits=15)),
+         r"selection counts \(15,0\) exceed available orbits \(14,0\)"),
+    ], ids=["budget", "strategy", "generators", "shape", "dfs-strategy", "orbit-strategy",
+            "counts"])
+    def test_raises_config_error(self, call, message):
+        with pytest.raises(SearchConfigError, match=message):
+            call()

@@ -22,7 +22,7 @@ from legendre_pairs.grouptools import (
     sequence_from_block,
 )
 from legendre_pairs.refdata import ell85
-from legendre_pairs.seqcore import compress, verify_legendre_pair
+from legendre_pairs.seqcore import SequenceError, compress, verify_legendre_pair
 
 
 @pytest.fixture
@@ -256,3 +256,26 @@ class TestBlocks:
         vals = {((i + 1) % 85): seq[i] for i in range(85)}
         for r in range(1, 85):
             assert vals[r] == vals[(r * g) % 85]
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: orbits(1, (1,)), GroupError, "modulus must be >= 2, got 1"),
+        (lambda: lex_unrank(3, 4, 0), GroupError, "subset size 4 out of range for universe 3"),
+        (lambda: lex_unrank_masks(3, -1, [0]), GroupError,
+         "subset size -1 out of range for universe 3"),
+        (lambda: lex_rank(5, (3, 2)), GroupError, "subset must be strictly ascending"),
+        (lambda: Block(ell=7, positions=(0, 3)), GroupError, r"must lie in 1\.\.6"),
+        (lambda: Block(ell=7, positions=(3, 2)), GroupError, "must be strictly ascending"),
+        (lambda: codes_from_block(orbits(7, (2,)), Block(ell=7, positions=(1, 2))), GroupError,
+         r"block splits orbit \(1, 2, 4\)"),
+        # a block of another length is the only way past the orbits' cover of 1..ℓ-1
+        (lambda: codes_from_block(orbits(7, (2,)), Block(ell=9, positions=(8,))), GroupError,
+         r"positions \[8\] not covered by any orbit"),
+        (lambda: block_from_sequence(7, (1,) * 5), SequenceError, "length 5 != 7"),
+        (lambda: block_from_sequence(3, (1, 1, -1)), GroupError, "residue 0 carries -1"),
+    ], ids=["modulus", "unrank-size", "masks-size", "rank-order", "block-range", "block-order",
+            "split-orbit", "uncovered", "sequence-length", "residue-0"])
+    def test_raises(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
