@@ -34,9 +34,8 @@ def odd_five_squares(m: int) -> List[DiophSolution]:
         hi = min(largest, math.isqrt(remaining))
         if hi % 2 == 0:
             hi -= 1
+        # odd squares are 1 (mod 8), so remaining ≡ slots and remaining - v² ≥ slots - 1
         for v in range(hi, 0, -2):
-            if remaining - v * v < slots - 1:  # slots-1 more squares >= 1 each
-                continue
             acc.append(v)
             descend(v, remaining - v * v, slots - 1, acc)
             acc.pop()

@@ -148,10 +148,7 @@ def psd_at_m_exact(c: Sequence[int]) -> PsdExact:
         raise SequenceError(f"exact evaluation needs length 5, got {len(c)}")
     p2 = sum(v * v for v in c)
     total = sum(c)
-    e2 = (total * total - p2) // 2 if (total * total - p2) % 2 == 0 else None
-    if e2 is None:
-        # p2 and total^2 always share parity for integer entries
-        raise SequenceError("non-integer e2; entries must be integers")
+    e2 = (total * total - p2) // 2  # total² - p2 = 2·Σ_{i<j} c_i·c_j is even
     paf1 = paf(c, 1)
     paf2 = paf(c, 2)
     return PsdExact(rat=Fraction(p2) - Fraction(e2, 2), coef=Fraction(paf1 - paf2, 2))
@@ -206,14 +203,13 @@ def verify_legendre_pair(a: Sequence[int], b: Sequence[int]) -> VerificationRepo
         ea, eb = psd_at_m_exact(ca), psd_at_m_exact(cb)
         report.x_value = ea.x
         report.psd_at_m = (ea, eb)
-        if ea.rat.denominator == 1 and eb.rat.denominator == 1:
-            report.n1_n2 = (int(ea.rat), int(eb.rat))
+        # odd m: compressed entries are odd, p2 ≡ 5 (mod 8), rat = (5·p2 - 1)/4 is whole
+        report.n1_n2 = (int(ea.rat), int(eb.rat))
     elif n % 3 == 0:
         m = n // 3
         va = psd_at_m_exact3(compress(a, m))
         vb = psd_at_m_exact3(compress(b, m))
-        if va.denominator == 1 and vb.denominator == 1:
-            report.n1_n2 = (int(va), int(vb))
+        report.n1_n2 = (int(va), int(vb))
     return report
 
 
