@@ -1725,7 +1725,8 @@ class TestRejections:
          "candidate shape 4 does not divide ℓ=15"),
         (lambda: uncompress_search(15, candidates_d5(3)[0], SearchConfig(**ORBIT_L15)),
          "uncompress_search requires strategy='backtrack'"),
-        (lambda: orbit_search(15, SearchConfig()), "orbit_search requires strategy='orbit_restricted'"),
+        (lambda: orbit_search(15, SearchConfig()),
+         "orbit_search requires strategy='orbit_restricted'"),
         (lambda: orbit_search(15, SearchConfig(**ORBIT_L15, ones_orbits=15)),
          r"selection counts \(15,0\) exceed available orbits \(14,0\)"),
     ], ids=["budget", "strategy", "generators", "shape", "dfs-strategy", "orbit-strategy",
