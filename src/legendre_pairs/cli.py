@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -55,13 +54,6 @@ def _sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _jobs(requested: int) -> int:
-    cap = os.environ.get("LP_THREADS")
-    if cap:
-        return max(1, min(requested, int(cap)))
-    return max(1, requested)
 
 
 def _read_single_sequence(path: str):
@@ -115,12 +107,10 @@ def _parse_hints(raw):
 
 
 def _parse_codes(raw):
-    return {
-        side: {
-            int(size): _ints(spec["k"], spec["rank"]) for size, spec in raw[side].items()
-        }
-        for side in ("a", "b")
-    }
+    # a sidecar record's "codes": [A, B], each side {"<size>": [n, k, rank]}
+    a, b = raw
+    return [{int(size): LexRankCode(*_ints(*code)) for size, code in side.items()}
+            for side in (a, b)]
 
 
 def _write_manifest(out: str, args, t0: float, inputs: dict, text: str) -> None:
@@ -166,8 +156,8 @@ def _write_pairs(args, t0: float, inputs: dict, results, unit: str) -> int:
             fh.write(text)
         sidecar = {"pairs": records, "nodes_visited": nodes, "exhausted": exhausted}
         with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=1)
-            fh.write("\n")
+            # json.dumps, not json.dump: only dumps runs the C encoder
+            fh.write(json.dumps(sidecar) + "\n")
         _write_manifest(args.out, args, t0, inputs, text)
     else:
         sys.stdout.write(text)
@@ -270,7 +260,7 @@ def _decompress(args, t0: float, ell: int, cands, inputs: dict) -> int:
     cfg = SearchConfig(
         budget_nodes=args.budget, seed=args.seed, max_solutions=args.max_solutions
     )
-    n, jobs = len(cands), _jobs(args.jobs)
+    n, jobs = len(cands), max(1, args.jobs)
     if jobs > 1 and n > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -327,21 +317,18 @@ def cmd_unrank(args) -> int:
     return EXIT_OK
 
 
-def _decode(table, spec):
-    """The block and ±1 sequence of one side, from its {size: (k, rank)} codes."""
-    codes = {size: LexRankCode(table.class_count(size), k, rank)
-             for size, (k, rank) in spec.items()}
+def _decode(table, codes):
+    """The block and ±1 sequence of one side, from its {size: LexRankCode} codes."""
     block = block_from_codes(table, codes)
     return block, sequence_from_block(block)
 
 
 def cmd_decode_pair(args) -> int:
-    spec = _read_json(args.codes, "LexRank code file", _parse_codes)
+    sides = _read_json(args.codes, "LexRank code file", _parse_codes)
     table = orbits(args.ell, args.gen)
-    seqs = []
-    for side in ("a", "b"):
-        seqs.append(_decode(table, spec[side])[1])
-        print(format_sequence(seqs[-1]))
+    seqs = [_decode(table, codes)[1] for codes in sides]
+    for seq in seqs:
+        print(format_sequence(seq))
     rep = verify_legendre_pair(*seqs)
     print(f"# legendre_pair={rep.is_legendre_pair} x={rep.x_value}", file=sys.stderr)
     return EXIT_OK if rep.is_legendre_pair else EXIT_NEGATIVE
@@ -386,11 +373,13 @@ def _reproduce_ell85() -> bool:
     table = orbits(data["ell"], data["generators"])
     first, m = data["first_pair"], data["m"]
     k1, k2 = data["ones_orbits"], data["twos_orbits"]
+    n1, n2 = table.class_count(1), table.class_count(2)
     ok = True
     for idx, cp in enumerate(data["code_pairs"], 1):
         pair = []
         for side in ("a", "b"):
-            block, seq = _decode(table, {1: (k1, cp[side]["ones"]), 2: (k2, cp[side]["twos"])})
+            block, seq = _decode(table, {1: LexRankCode(n1, k1, cp[side]["ones"]),
+                                         2: LexRankCode(n2, k2, cp[side]["twos"])})
             pair.append(seq)
             if idx == 1:
                 ok &= _diff_report(f"pair 1 {side}-block", list(block.positions),
@@ -425,7 +414,12 @@ def _reproduce_table1_small() -> bool:
             p2_prefilter=False,
             budget_nodes=10**7,
         )
-        xs = {abs(x) for x in verify_pairs(orbit_search(ell, cfg).pairs)[1]}
+        failing, xs = verify_pairs(orbit_search(ell, cfg).pairs)
+        if failing.any():
+            i = failing.nonzero()[0][0]
+            print(f"ℓ={ell}: pair {i} is not a Legendre pair (failing shift {failing[i]})")
+            return False
+        xs = {abs(x) for x in xs}
         row = rows[ell]
         ok &= _diff_report(f"ℓ={ell} x-set", sorted(xs), sorted(row["x"]))
         unit = row["unit"].replace("sqrt", "√")
@@ -539,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("decode-pair", cmd_decode_pair, "decode LexRank codes to two sequences")
     orbit_options(p)
-    p.add_argument("--codes", required=True, help='JSON {"a": {"1": {"k":..,"rank":..}, ...}, "b": ...}')
+    p.add_argument("--codes", required=True, help='JSON [A, B], each {"<size>": [n, k, rank]}')
 
     p = command("reproduce", cmd_reproduce, "recompute a bundled reference section")
     p.add_argument("section", choices=REPRODUCE)

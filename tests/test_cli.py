@@ -124,19 +124,44 @@ class TestSmallCommands:
         assert main(["unrank", "-N", "6", "-k", "3", "-r", "20"]) == 2
 
 
+# the paper's first ℓ=85 pair (multiplier 69) in the sidecar's codes layout
+PUBLISHED_CODES = [{"1": [16, 12, 12], "2": [34, 15, 1321116338]},
+                   {"1": [16, 12, 42], "2": [34, 15, 1275934280]}]
+
+
 class TestDecodePair:
     def test_published_codes(self, tmp_path, capsys):
-        codes = {
-            "a": {"1": {"k": 12, "rank": 12}, "2": {"k": 15, "rank": 1321116338}},
-            "b": {"1": {"k": 12, "rank": 42}, "2": {"k": 15, "rank": 1275934280}},
-        }
         f = tmp_path / "codes.json"
-        f.write_text(json.dumps(codes))
+        f.write_text(json.dumps(PUBLISHED_CODES))
         assert main(["decode-pair", "--ell", "85", "--gen", "69", "--codes", str(f)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         a = parse_sequence(lines[0])
         assert len(a) == 85 and sum(a) == 1
+
+    @pytest.mark.parametrize("argv, pairs", [
+        pytest.param(["--ell", "21", "--gen", "1", "--ones", "10", "--exhaustive",
+                      "--budget", "5000"], 19, id="l21-size-1"),
+        pytest.param(["--ell", "85", "--gen", "69", "--ones", "12", "--twos", "15",
+                      "--budget", "10", "--hints", "{hints}"], 4, id="l85-sizes-1-2"),
+    ])
+    def test_sidecar_codes_decode_to_their_lines(self, tmp_path, capsys, argv, pairs):
+        """Each sidecar record's codes, passed to decode-pair as written,
+        print that record's two lines of the search's text output."""
+        hints = tmp_path / "hints.json"
+        hints.write_text(json.dumps([[cp[s]["ones"], cp[s]["twos"]]
+                                     for cp in refdata.ell85()["code_pairs"] for s in "ab"]))
+        out, codes = tmp_path / "found.txt", tmp_path / "codes.json"
+        argv = [a.format(hints=hints) for a in argv]
+        assert main(["search-orbit", *argv, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        records = json.loads((tmp_path / "found.txt.json").read_text())["pairs"]
+        assert len(records) == pairs and len(lines) == 2 * pairs
+        capsys.readouterr()
+        for i, record in enumerate(records):
+            codes.write_text(json.dumps(record["codes"]))
+            assert main(["decode-pair", *argv[:4], "--codes", str(codes)]) == 0
+            assert capsys.readouterr().out == "".join(lines[2 * i:2 * i + 2])
 
 
 L15_ROWS = {"a": [-3, 1, 1, 1, 1], "b": [-3, 1, 1, 1, 1]}
@@ -152,12 +177,22 @@ L15_PROFILE = {"ell": 15, "m": 3, "d": 5, "abs_value_counts": {"3": 2, "1": 8}, 
 
 class TestBadInput:
     @pytest.mark.parametrize("argv, content, names", [
-        pytest.param(CODES, {"a": [1, 2]}, ("{in}",), id="codes-side-list"),
-        pytest.param(CODES, {"a": {"1": 5}}, ("{in}",), id="codes-spec-int"),
-        pytest.param(CODES, {"a": {"1": {"k": "12", "rank": 12}}}, ("{in}",),
+        pytest.param(CODES, [[16, 12, 12], PUBLISHED_CODES[1]], ("{in}",),
+                     id="codes-side-list"),
+        pytest.param(CODES, [{"1": 5}, PUBLISHED_CODES[1]], ("{in}",), id="codes-spec-int"),
+        pytest.param(CODES, [{"1": [16, "12", 12]}, PUBLISHED_CODES[1]], ("{in}",),
                      id="codes-k-string"),
-        pytest.param(CODES, {side: {"1": {"k": True, "rank": 0}, "2": {"k": 15, "rank": 0}}
-                             for side in "ab"}, ("{in}",), id="codes-bool"),
+        pytest.param(CODES, [{"1": [16, True, 0], "2": [34, 15, 0]}] * 2, ("{in}",),
+                     id="codes-bool"),
+        # the {"a", "b"} layout decode-pair once read
+        pytest.param(CODES, {"a": {"1": {"k": 12, "rank": 12},
+                                   "2": {"k": 15, "rank": 1321116338}},
+                             "b": {"1": {"k": 12, "rank": 42},
+                                   "2": {"k": 15, "rank": 1275934280}}},
+                     ("{in}",), id="codes-old-layout"),
+        # side B's 1-orbit count is 15, but multiplier 69 has 16 fixed points
+        pytest.param(CODES, [PUBLISHED_CODES[0], {**PUBLISHED_CODES[1], "1": [15, 12, 42]}],
+                     ("code universe 15 != 16",), id="codes-n-not-table"),
         pytest.param(DECOMPRESS, [1, 2], ("{in}",), id="candidates-list"),
         pytest.param(DECOMPRESS, {"ell": 15, "m": 3, "pairs": [[[1], [1]]]}, ("{in}",),
                      id="candidate-pair-list"),
@@ -208,7 +243,8 @@ class TestBadInput:
         seq.write_text("1,1,-1\n")
         paths = {"in": bad, "out": tmp_path / "out", "seq": seq}
         assert main([a.format(**paths) for a in argv]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert "Traceback" not in err
         assert all(name.format(**paths) in err for name in names)
 
@@ -307,13 +343,12 @@ class TestPipelineAndFiles:
                      "--x", *map(str, xs)]) == 0
         assert json.loads(out.read_text())["pairs"] == [p for p in want if p["x"] in xs]
 
-    def test_decompress_parallel_jobs_match_serial(self, tmp_path, monkeypatch):
+    def test_decompress_parallel_jobs_match_serial(self, tmp_path):
         cands = tmp_path / "c.json"
         assert main(["candidates", "--ell", "15", "--out", str(cands)]) == 0
         serial = tmp_path / "serial.txt"
         parallel = tmp_path / "parallel.txt"
         assert main(["decompress", "--candidates", str(cands), "--out", str(serial)]) == 0
-        monkeypatch.setenv("LP_THREADS", "2")
         assert main([
             "decompress", "--candidates", str(cands), "--out", str(parallel),
             "--jobs", "4",
@@ -476,7 +511,7 @@ PARSER_SPEC = {
     }),
     "decode-pair": ("decode LexRank codes to two sequences", {
         (("--codes",), "codes", None, None, None, True, None,
-         'JSON {"a": {"1": {"k":..,"rank":..}, ...}, "b": ...}'),
+         'JSON [A, B], each {"<size>": [n, k, rank]}'),
         (("--ell",), "ell", None, "int", None, True, None, None),
         (("--gen",), "gen", None, "int", "+", True, None, None),
     }),
@@ -539,6 +574,14 @@ class TestReproduce:
         assert "ℓ=15 x-set: OK" in out
         assert "reference: stated [2] as coefficient of √5 = x [4]" in out
         assert rc == 0 and "MISMATCH" not in out
+
+    def test_table1_small_exits_one_on_a_non_pair(self, capsys, monkeypatch):
+        bad = (1, 1, 1, -1, -1)  # PAF(1) = 1, so A = B fails shift 1
+        monkeypatch.setattr(cli, "orbit_search",
+                            lambda ell, cfg: SearchResult(pairs=[(bad, bad)], codes=[None]))
+        assert main(["reproduce", "table1-small"]) == 1
+        assert capsys.readouterr().out == (
+            "ℓ=5: pair 0 is not a Legendre pair (failing shift 1)\n")
 
     @pytest.mark.parametrize("section", list(REPRODUCE_STDOUT))
     def test_stdout_digest_and_exit_code(self, section, capsys):
