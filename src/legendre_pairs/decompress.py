@@ -20,6 +20,7 @@ import numpy as np
 
 from .candgen import CandidatePair
 from .grouptools import LexRankCode, OrbitTable, lex_unrank_masks, orbits
+from .seqcore import paf_rows
 
 # No search calls these any more; the benchmark's tracer (bench/tracing.py)
 # rebinds them by name in this module, so they stay importable from it.
@@ -100,8 +101,7 @@ def _options(m: int, k: int, laps: int) -> np.ndarray:
     x = np.ones((len(combos), m + laps + 1))
     v = x[:, :m]
     np.put_along_axis(v, np.array(combos, dtype=np.intp).reshape(len(combos), k), -1, axis=1)
-    for r in range(1, laps + 1):
-        x[:, m + r - 1] = (v * np.roll(v, -r, axis=1)).sum(1)
+    x[:, m:m + laps] = paf_rows(v, laps + 1)[:, 1:]
     x.flags.writeable = False
     return x
 

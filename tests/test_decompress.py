@@ -470,6 +470,8 @@ class TestBatchedTail:
         assert decompress._options(5, 2, 2) is options
         assert options.shape == (10, 5 + 2 + 1)  # [v | intra-class PAF | 1]
         assert not options.flags.writeable
+        for row in options:
+            assert row[5:7].tolist() == [paf(row[:5].tolist(), r) for r in (1, 2)]
         q = decompress._tail_options(25, 5, 3, 2)
         assert decompress._tail_options(25, 5, 3, 2) is q
         assert q.shape == (12 * 10, 25 + 12 + 1)  # (shift, option) × [entries | part sums | 1]
