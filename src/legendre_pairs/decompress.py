@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tu
 import numpy as np
 
 from .candgen import CandidatePair
-from .grouptools import LexRankCode, OrbitTable, lex_unrank_masks, orbits
+from .grouptools import LexRankCode, OrbitTable, _unrank_masks, orbits
 from .seqcore import paf_rows
 
 # No search calls these any more; the benchmark's tracer (bench/tracing.py)
@@ -526,11 +526,23 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     return result
 
 
-# Selections decoded and filtered per numpy pass.  Results do not depend on
-# it: survivors are matched one by one in selection order.  Each pass has a
-# fixed cost of numpy and Python calls: 512 ran ≈27% faster than 256 at ℓ=21
-# and ≈6% at ℓ=85, where its temporaries added ≈0.6 MB (1.5%) of peak memory.
+# Selections decoded and filtered per numpy pass (_batch_rows): CHUNK, doubled
+# while the batch's largest float64 operand, rows × the larger side of W, stays
+# within BATCH_BYTES.  Results do not depend on it: survivors are matched one
+# by one in selection order.  Each pass has a fixed cost of numpy and Python
+# calls: 1,024 rows ran ≈20% faster than 512 at ℓ=21 (W 20 × 20), 2,048 there
+# (320 KiB operands, glibc mmap and trim churn) ran slower, and 1,024 at ℓ=85
+# (W 50 × 57) gained nothing and added ≈0.85 MB of peak memory.
 CHUNK = 512
+BATCH_BYTES = 256 * 1024
+
+
+def _batch_rows(shape: Tuple[int, int]) -> int:
+    """Rows per orbit_search batch for a filter matrix W of this shape."""
+    rows = CHUNK
+    while 2 * rows * max(shape) * 8 <= BATCH_BYTES:
+        rows *= 2
+    return rows
 
 
 def _reduce(words: np.ndarray, total: int) -> np.ndarray:
@@ -552,9 +564,9 @@ def _reduce(words: np.ndarray, total: int) -> np.ndarray:
     return r.view(np.int64)
 
 
-def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
+def _selections(cfg: SearchConfig, n1: int, n2: int, rows: int) -> Iterator[np.ndarray]:
     """Every selection at most once, in search order, as non-empty arrays of
-    at most CHUNK keys rank2 · space1 + rank1 (0 <= rank1 < space1): the
+    at most ``rows`` keys rank2 · space1 + rank1 (0 <= rank1 < space1): the
     hints, then the rank-order scan or the seeded sampling.
 
     Keys are int64, or Python ints (object dtype) when space1 · space2 does
@@ -575,13 +587,13 @@ def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
     hints = np.array(
         list(dict.fromkeys(rank2 * space1 + rank1 for rank1, rank2 in cfg.hint_codes)), dtype=dtype
     )
-    for lo in range(0, len(hints), CHUNK):
-        yield hints[lo:lo + CHUNK]
+    for lo in range(0, len(hints), rows):
+        yield hints[lo:lo + rows]
     if cfg.exhaustive:
         # index i is (rank1, rank2) = divmod(i, space2); rank order never
         # repeats, so only the hints need dropping
-        for lo in range(0, total, CHUNK):
-            idx = np.arange(lo, min(lo + CHUNK, total), dtype=dtype)
+        for lo in range(0, total, rows):
+            idx = np.arange(lo, min(lo + rows, total), dtype=dtype)
             keys = idx % space2 * space1 + idx // space2
             if hints.size:
                 keys = keys[np.isin(keys, hints, invert=True)]
@@ -595,7 +607,7 @@ def _selections(cfg: SearchConfig, n1: int, n2: int) -> Iterator[np.ndarray]:
     while len(seen) < limit:
         digests = []
         append = digests.append
-        for i in range(index, index + min(CHUNK, limit - len(seen))):
+        for i in range(index, index + min(rows, limit - len(seen))):
             h = copy()
             h.update(b"%d" % i)
             append(h.digest())
@@ -661,7 +673,8 @@ def _orbit_setup(ell: int, generators: Tuple[int, ...],
 def _orbit_filter(ell: int, masks: list, w: np.ndarray, b: np.ndarray, p2: bool, limit: float) -> tuple:
     """Indices of the selections passing the p2 prefilter (when ``p2``) and
     the PSD ceiling ``limit`` (math.inf keeps all), and their int32 PAF rows
-    at shifts 1..ℓ//2, from z = Wᵀ @ [ones | twos]ᵀ, features × selections.
+    at shifts 1..ℓ//2 (a (0, ℓ//2) array, with no product taken, when none
+    passes), from z = Wᵀ @ [ones | twos]ᵀ, features × selections.
 
     p2 is exact: z holds integers of magnitude at most ℓ.  For k != 0,
     DFT_k = -2 Σ ω^(rk) over the selected residues r, so PSD_k = 4(Re² + Im²);
@@ -678,11 +691,13 @@ def _orbit_filter(ell: int, masks: list, w: np.ndarray, b: np.ndarray, p2: bool,
     re, im = z[5 * p2:half], z[half:]
     np.square(re, out=re)
     re += np.square(im, out=im)
-    keep = 4 * re.max(0) <= limit
+    keep = re.max(0) <= limit / 4  # as 4 · max <= limit: scaling by 4 is exact
     if p2:
         m5 = ell // 5
         keep &= ((m5 - 2 * z[:5]) ** 2).sum(0) == 4 * m5 + 1
     live = np.flatnonzero(keep)
+    if not live.size:  # most ℓ=55 and ℓ=85 batches
+        return live, np.empty((0, ell // 2), np.int32)
     return live, np.rint((1 + 4 * (re[:, live].T @ b)) / ell).astype(np.int32)
 
 
@@ -713,11 +728,13 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
 
     The search is stream → decode → filter → pool, on an orbit table and
     filter matrix built once per process for each (ℓ, generators, p2)
-    (_orbit_setup).  _selections yields keys, at most CHUNK at a time, from
-    warm-start hints, then either an exhaustive scan or seeded counter-based
-    sampling without replacement.  Each batch splits into ranks (rank1 =
-    key mod space1, rank2 = key // space1) and LexRank masks, one table
-    lookup per size class whose space is small (lex_unrank_masks).  Both
+    (_orbit_setup).  _selections yields keys, _batch_rows(W.shape) at a time
+    (1,024 at ℓ=21, 512 at ℓ=85 gen 69), from warm-start hints, then either
+    an exhaustive scan or seeded counter-based sampling without replacement.
+    Each batch splits into ranks (rank2, rank1 = divmod(key, space1)) and
+    LexRank masks, one table lookup per size class whose space is small
+    (_unrank_masks, unchecked: hints are checked before the first selection
+    and every other key is below space1 · space2).  Both
     filters, the exact compressed square-sum when 5 | ℓ and the PSD ceiling
     (math.inf with psd_prune off), run on the masks in orbit space
     (_orbit_filter: one GEMM per batch, one frequency per class of
@@ -757,13 +774,14 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     found = bytearray()  # survivor numbers, (earlier, later) per pair, as int64
     space1 = math.comb(n1, k1)
     nodes = survivors = 0
-    for batch in _selections(cfg, n1, n2):
+    for batch in _selections(cfg, n1, n2, _batch_rows(w.shape)):
         batch = batch[:cfg.budget_nodes - nodes]
-        ranks = [batch % space1, batch // space1]
-        masks = [lex_unrank_masks(n, k, r) for n, k, r in zip((n1, n2), (k1, k2), ranks) if n]
+        # one pass; numpy has no divmod loop for object keys
+        ranks = (batch % space1, batch // space1) if batch.dtype == object else np.divmod(batch, space1)[::-1]
+        masks = [_unrank_masks(n, k, r) for n, k, r in zip((n1, n2), (k1, k2), ranks) if n]
         live, pafs = _orbit_filter(ell, masks, w, b, p2, limit)
         if live.size:  # most ℓ=55 and ℓ=85 batches have no survivor
-            kept.append([a[live] for a in masks + ranks])
+            kept.append([a[live] for a in (*masks, *ranks)])
             last = _match(pool, pafs, survivors, found, cfg.max_solutions)
             survivors += live.size
             if last is not None:
@@ -775,15 +793,16 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
 
     if found:
         ends = np.frombuffer(found, np.int64)
-        numbers = np.flatnonzero(np.bincount(ends))  # not np.unique, whose sort adds ≈0.7 MB RSS
-        ends = numbers.searchsorted(ends)
+        hit = np.bincount(ends).astype(bool)  # not np.unique, whose sort adds ≈0.7 MB RSS
+        numbers = np.flatnonzero(hit)
+        ends = (np.cumsum(hit) - 1)[ends].tolist()  # each end's place among numbers
         *masks, ranks1, ranks2 = (np.concatenate(a)[numbers] for a in zip(*kept))
         rows = 1 - 2 * np.concatenate(masks + [np.zeros((len(numbers), 1), bool)], 1)[:, column].view(np.int8)
-        seqs = np.fromiter(map(tuple, rows.tolist()), object, len(numbers))
-        codes = np.fromiter(({1: (n1, k1, r1), 2: (n2, k2, r2)} if n2 else {1: (n1, k1, r1)} for r1, r2
-                             in zip(ranks1.tolist(), ranks2.tolist())), object, len(numbers))
-        result.pairs = list(zip(seqs[ends[0::2]], seqs[ends[1::2]]))
-        result.codes = list(zip(codes[ends[0::2]], codes[ends[1::2]]))
+        seqs = list(map(tuple, rows.tolist()))
+        codes = [{1: (n1, k1, r1), 2: (n2, k2, r2)} if n2 else {1: (n1, k1, r1)} for r1, r2
+                 in zip(ranks1.tolist(), ranks2.tolist())]
+        result.pairs = [(seqs[i], seqs[j]) for i, j in zip(ends[0::2], ends[1::2])]
+        result.codes = [(codes[i], codes[j]) for i, j in zip(ends[0::2], ends[1::2])]
     result.nodes_visited = nodes
     # nodes count distinct selections, so all were searched exactly when
     # nodes reach their number; asking the stream would draw another chunk

@@ -197,12 +197,23 @@ def lex_unrank_masks(n: int, k: int, ranks: Sequence[int]) -> np.ndarray:
     if k < 0 or k > n:
         raise GroupError(f"subset size {k} out of range for universe {n}")
     total = math.comb(n, k)
-    groups, tail, start = _lex_groups(n, k)
+    groups = _lex_groups(n, k)[0]
     r = np.array(ranks, dtype=groups[0][0].dtype if groups else np.int64).reshape(-1)
     bad = (r < 0) | (r >= total)
     if bad.any():
         raise GroupError(f"rank {r[bad.argmax()]} out of range [0, {total})")
-    packed = tail.take(r, axis=0) if start is None else _unrank_packed(k, total, groups, tail, start, r)
+    return _unrank_masks(n, k, r)
+
+
+def _unrank_masks(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
+    """lex_unrank_masks without its checks, for a 1-D array (int64 or
+    object) of ranks already known to lie in [0, C(n, k)), 0 <= k <= n."""
+    groups, tail, start = _lex_groups(n, k)
+    if start is None:
+        packed = tail.take(ranks.astype(np.intp, copy=False), axis=0)
+    else:
+        r = ranks.astype(groups[0][0].dtype if groups else np.int64, copy=False)
+        packed = _unrank_packed(k, math.comb(n, k), groups, tail, start, r)
     return np.unpackbits(packed, axis=1, count=n).view(bool)
 
 

@@ -1325,7 +1325,7 @@ class TestOrbitSearch:
         cfg = SearchConfig(strategy="orbit_restricted", subgroup_generators=gens,
                            ones_orbits=k1, twos_orbits=k2, seed=seed)
         got = []
-        for chunk in decompress._selections(cfg, n1, n2):
+        for chunk in decompress._selections(cfg, n1, n2, batch_rows(ell, gens, ell % 5 == 0)):
             assert chunk.dtype == (object if ell == 71 else np.int64)
             got += chunk.tolist()
             if count and len(got) >= count:
@@ -1344,36 +1344,39 @@ class TestOrbitSearch:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_sampled_keys_after_overlapping_hints(self, seed):
-        """Hints equal to the keys drawn at indices 5, 1100 and 1101 and one
-        never drawn come first; the sampled chunks of indices 0-511 and
-        1024-1535 then drop them (the ordered filter), the others keep all
-        512 keys (the fast path), and the rest is _selection_hash's
-        sequence."""
+        """Hints equal to the keys drawn at indices 5, 2·rows + 76 and
+        2·rows + 77 (rows = the search's batch size, 512 here) and one never
+        drawn come first; the sampled batches of indices 0 to rows - 1 and
+        2·rows to 3·rows - 1 then drop them (the ordered filter), the others
+        keep all rows keys (the fast path), and the rest is
+        _selection_hash's sequence."""
+        rows = batch_rows(85, (69,), True)
         space1, space2 = math.comb(16, 12), math.comb(34, 15)
-        drawn = [_selection_hash(seed, i, space1, space2) for i in range(2048)]
+        drawn = [_selection_hash(seed, i, space1, space2) for i in range(4 * rows)]
         keys = [rank2 * space1 + rank1 for rank1, rank2 in drawn]
-        hints = (drawn[5], drawn[1100], drawn[1101], (0, 0))
+        hints = (drawn[5], drawn[2 * rows + 76], drawn[2 * rows + 77], (0, 0))
         cfg = self.l85_cfg(seed=seed, budget_nodes=10**9, hint_codes=hints)
-        chunks = [c.tolist() for c in itertools.islice(decompress._selections(cfg, 16, 34), 5)]
-        assert chunks[0] == [keys[5], keys[1100], keys[1101], 0]
-        assert [len(c) for c in chunks[1:]] == [511, 512, 510, 512]
+        chunks = [c.tolist() for c in itertools.islice(decompress._selections(cfg, 16, 34, rows), 5)]
+        assert chunks[0] == [keys[5], keys[2 * rows + 76], keys[2 * rows + 77], 0]
+        assert [len(c) for c in chunks[1:]] == [rows - 1, rows, rows - 2, rows]
         assert sum(chunks[1:], []) == [k for k in keys if k not in chunks[0]]
 
     @pytest.mark.parametrize("exhaustive", [True, False])
-    def test_arrays_hold_at_most_chunk_keys(self, monkeypatch, exhaustive):
-        """The stream yields at most CHUNK keys per array, hints included,
-        and still checks every hint before the first array."""
-        monkeypatch.setattr(decompress, "CHUNK", 2)
+    def test_arrays_hold_at_most_chunk_keys(self, exhaustive):
+        """The stream yields at most ``rows`` keys per array, hints included,
+        at 2 rows and at the search's batch size (1,024 at ℓ=15), and still
+        checks every hint before the first array."""
         hints = ((3000, 0), (7, 0), (1, 0), (3000, 0), (0, 0), (5, 0))
         cfg = block_cfg(15, exhaustive=exhaustive, seed=3, budget_nodes=10**7, hint_codes=hints)
-        chunks = [c.tolist() for c in decompress._selections(cfg, 14, 0)]
-        assert max(map(len, chunks)) == 2
-        keys = sum(chunks, [])
-        assert keys[:5] == [3000, 7, 1, 0, 5]  # with no 2-orbits a key is its rank1
-        assert sorted(keys) == list(range(math.comb(14, 7)))
-        bad = block_cfg(15, exhaustive=exhaustive, hint_codes=hints + ((5000, 0),))
-        with pytest.raises(GroupError, match="rank 5000 out of range"):
-            next(decompress._selections(bad, 14, 0))
+        for rows in (2, batch_rows(15, (1,), True)):
+            chunks = [c.tolist() for c in decompress._selections(cfg, 14, 0, rows)]
+            assert max(map(len, chunks)) <= rows and len(chunks[0]) == min(rows, 5)
+            keys = sum(chunks, [])
+            assert keys[:5] == [3000, 7, 1, 0, 5]  # with no 2-orbits a key is its rank1
+            assert sorted(keys) == list(range(math.comb(14, 7)))
+            bad = block_cfg(15, exhaustive=exhaustive, hint_codes=hints + ((5000, 0),))
+            with pytest.raises(GroupError, match="rank 5000 out of range"):
+                next(decompress._selections(bad, 14, 0, rows))
 
     def test_budget_draws_no_key_past_it(self, monkeypatch):
         """A 30-selection sampled search draws 30 keys, not a whole chunk."""
@@ -1401,8 +1404,9 @@ class TestOrbitSearch:
                 yield keys
 
         monkeypatch.setattr(decompress, "_selections", counting)
-        res = orbit_search(85, self.l85_cfg(seed=3, budget_nodes=2 * decompress.CHUNK))
-        assert res.nodes_visited == sum(drawn) == 2 * decompress.CHUNK
+        rows = batch_rows(85, (69,), True)
+        res = orbit_search(85, self.l85_cfg(seed=3, budget_nodes=2 * rows))
+        assert res.nodes_visited == sum(drawn) == 2 * rows
         assert not res.exhausted
 
     def test_sampled_determinism(self):
@@ -1495,6 +1499,34 @@ class TestOrbitFilter:
         live, pafs = decompress._orbit_filter(ell, parts, w, b, p2, math.inf)
         np.testing.assert_array_equal(live, np.flatnonzero(p2_pass))
         np.testing.assert_array_equal(pafs, exact[live])
+        # no survivor: an empty int32 array of the PAF rows' width, and no
+        # product with B (None would raise)
+        live, pafs = decompress._orbit_filter(ell, parts, w, None, p2, -1.0)
+        assert live.size == 0
+        assert pafs.shape == (0, ell // 2) and pafs.dtype == np.int32
+
+
+class TestBatchRows:
+    """orbit_search's batch size: CHUNK rows, doubled while the largest
+    float64 operand, rows × max(W's rows, W's columns) × 8 bytes, stays
+    within BATCH_BYTES."""
+
+    def test_pinned_sizes(self):
+        assert batch_rows(21, (1,), False) == 1024  # W 20 × 20
+        assert batch_rows(85, (69,), True) == 512  # W 50 × 57
+        assert decompress._orbit_setup(85, (69,), True)[2].shape == (50, 57)
+
+    @pytest.mark.parametrize("ell, gens, p2", [
+        (7, (1,), False), (15, (1,), True), (21, (1,), False), (25, (1,), True),
+        (45, (19,), True), (55, (34,), True), (71, (1,), False), (85, (69,), True),
+        (85, (69,), False),
+    ])
+    def test_largest_doubling_within_bound(self, ell, gens, p2):
+        width = max(decompress._orbit_setup(ell, gens, p2)[2].shape)
+        rows = batch_rows(ell, gens, p2)
+        assert rows % decompress.CHUNK == 0 and rows & (rows - 1) == 0
+        assert rows == decompress.CHUNK or rows * width * 8 <= decompress.BATCH_BYTES
+        assert 2 * rows * width * 8 > decompress.BATCH_BYTES
 
 
 def orbit_sha256(res):
@@ -1505,6 +1537,11 @@ def orbit_sha256(res):
         line += repr(sorted(ca.items())) + ";" + repr(sorted(cb.items())) + "\n"
         h.update(line.encode())
     return h.hexdigest()
+
+
+def batch_rows(ell, gens, p2):
+    """orbit_search's batch size for (ℓ, generators, p2)."""
+    return decompress._batch_rows(decompress._orbit_setup(ell, tuple(gens), p2)[2].shape)
 
 
 def l85_hints():
@@ -1619,8 +1656,9 @@ class TestOrbitPinned:
             ORBIT_PINS["l21-scan"][3], ORBIT_PINS["l85-hints-sample"][3]]
         assert [len(res.pairs) for res in rounds[1]] == [756, 4, 10, 11]
 
-    # 1 and 7 split chunks at many places, 256 at half of CHUNK
-    @pytest.mark.parametrize("chunk", [1, 7, 256, decompress.CHUNK])
+    # 1 and 7 split batches at many places, 256 at half of CHUNK, and 1,024
+    # is ℓ=21's batch size, here forced on every case
+    @pytest.mark.parametrize("chunk", [1, 7, 256, decompress.CHUNK, 1024])
     @pytest.mark.parametrize("name", [
         "l21-scan-max1", "l21-scan-budget1300", "l15-hints-dup-budget", "l15-sample-exhausted",
         "l21-sample", "l71-sample", "l15-exhaustive-p2-nopsd", "l15-exhaustive-p2",
@@ -1632,7 +1670,7 @@ class TestOrbitPinned:
         draws across chunks, object keys, p2 with and without the PSD
         ceiling, a max_solutions stop after many chunks, hints split across
         chunks."""
-        monkeypatch.setattr(decompress, "CHUNK", chunk)
+        monkeypatch.setattr(decompress, "_batch_rows", lambda shape: chunk)
         self.test_pinned(name)
 
 
@@ -1668,12 +1706,13 @@ class TestOrbitCodes:
         survived in an earlier chunk (with no 2-orbits, a rank-order key is
         its selection index and its rank1)."""
         ell, cfg = ORBIT_CASES[name]()
+        rows = batch_rows(ell, cfg.subgroup_generators, False)
         res = orbit_search(ell, cfg)
         last = res.nodes_visited - 1
-        assert last % decompress.CHUNK != decompress.CHUNK - 1
+        assert last % rows != rows - 1
         codes_a, codes_b = res.codes[-1]
         earlier, later = codes_a[1][2], codes_b[1][2]
-        assert later == last and earlier < last - last % decompress.CHUNK
+        assert later == last and earlier < last - last % rows
         assert_codes_round_trip(ell, cfg.subgroup_generators, res)
 
 

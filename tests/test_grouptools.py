@@ -192,6 +192,27 @@ class TestLexRank:
                 with pytest.raises(GroupError, match=f"rank {bad} out of range"):
                     lex_unrank_masks(n, k, [0, bad])
 
+    @pytest.mark.parametrize("n, k", [(20, 10), (16, 12), (34, 15), (70, 35)])
+    def test_unchecked_decode_matches(self, n, k):
+        """_unrank_masks, the decode without checks that orbit_search uses,
+        equals lex_unrank_masks on the one-table path ((20, 10), (16, 12)),
+        the head-group path ((34, 15)) and a space with object-dtype tables
+        (C(70, 35) > 2**63), for int64 and object rank arrays alike; only
+        lex_unrank_masks checks ranks."""
+        total = math.comb(n, k)
+        groups, rows, start = grouptools._lex_groups(n, k)
+        assert (start is None) == ((n, k) in ((20, 10), (16, 12)))
+        assert bool(groups and groups[0][0].dtype == object) == (n == 70)
+        rnd = random.Random(n)
+        ranks = [0, total - 1] + [rnd.randrange(total) for _ in range(500)]
+        want = lex_unrank_masks(n, k, ranks)
+        for dtype in ((np.int64, object) if total < 2**63 else (object,)):
+            got = grouptools._unrank_masks(n, k, np.array(ranks, dtype=dtype))
+            assert got.dtype == bool and (got == want).all()
+        for bad in (-1, total):
+            with pytest.raises(GroupError, match=f"rank {bad} out of range"):
+                lex_unrank_masks(n, k, [0, bad])
+
     def test_counting(self):
         assert math.comb(16, 12) == 1820
         assert math.comb(34, 15) == 1855967520
