@@ -102,12 +102,13 @@ def candidates_d5(m: int, x_filter: Optional[Set[int]] = None) -> List[Candidate
     return [p for p in out if x_filter is None or p.x in x_filter]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationProfile:
-    """Constraint list for the general candidate generator.
+    """Constraint list for the general candidate generator, checked when built.
 
     abs_value_counts maps magnitude -> total count across the pair (2d
     entries in all); balanced additionally forces the per-side split in half.
+    x_filter keeps the candidates whose x is in it, so it needs d = 5.
     """
 
     ell: int
@@ -119,7 +120,7 @@ class GenerationProfile:
     budget: Optional[int] = None
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.ell != self.d * self.m:
             raise ProfileError(f"ell={self.ell} != d*m = {self.d * self.m}")
         total = sum(self.abs_value_counts.values())
@@ -140,6 +141,8 @@ class GenerationProfile:
                 raise ProfileError(
                     f"balanced split needs an even count for magnitude {mag}, got {cnt}"
                 )
+        if self.x_filter is not None and self.d != 5:
+            raise ProfileError(f"x is defined only for d = 5, got an x filter at d = {self.d}")
 
     def side_counts(self) -> Optional[Dict[int, int]]:
         """Per-sequence magnitude counts when balanced, else None."""
@@ -149,7 +152,6 @@ class GenerationProfile:
 
     def admits(self, a: Sequence[int], b: Sequence[int]) -> bool:
         """Check a concrete pair against every profile constraint."""
-        self.validate()
         a, b = tuple(a), tuple(b)
         if len(a) != self.d or len(b) != self.d:
             return False
@@ -205,7 +207,6 @@ def candidates_general(profile: GenerationProfile) -> Iterator[CandidatePair]:
     with running joint-PAF interval/parity pruning; stops at profile.budget
     nodes when set.
     """
-    profile.validate()
     d, m = profile.d, profile.m
     target = -2 * m
     rng = random.Random(profile.seed)
@@ -256,7 +257,7 @@ def candidates_general(profile: GenerationProfile) -> Iterator[CandidatePair]:
         if depth == 2 * d:
             a, b = tuple(rows[0][:d]), tuple(rows[1][:d])
             x = paf(a, 1) - paf(a, 2) if d == 5 else None
-            if d != 5 or profile.x_filter is None or x in profile.x_filter:
+            if profile.x_filter is None or x in profile.x_filter:
                 pair = CandidatePair(a=a, b=b, ell=profile.ell, m=m, x=x)
                 pair.check()
                 yield pair

@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tu
 import numpy as np
 
 from .candgen import CandidatePair
-from .grouptools import LexRankCode, OrbitTable, _unrank_masks, orbits
+from .grouptools import LexRankCode, _unrank_masks, orbits
 from .seqcore import paf_rows
 
 # No search calls these any more; the benchmark's tracer (bench/tracing.py)
@@ -34,8 +34,13 @@ class SearchConfigError(ValueError):
     """Inconsistent search configuration or candidate."""
 
 
-@dataclass
+STRATEGY = {"uncompress_search": "backtrack", "orbit_search": "orbit_restricted"}  # per engine
+
+
+@dataclass(frozen=True)
 class SearchConfig:
+    """A search request, checked when built and frozen; see also psd_limit."""
+
     strategy: str = "backtrack"  # "backtrack" | "orbit_restricted"
     budget_nodes: int = 10**9
     max_solutions: int = 0  # 0 = collect every solution found
@@ -49,15 +54,24 @@ class SearchConfig:
     p2_prefilter: bool = True
     hint_codes: Tuple[Tuple[int, int], ...] = ()  # (ones_rank, twos_rank) warm starts
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.budget_nodes <= 0:
             raise SearchConfigError("budget_nodes must be positive")
         if self.max_solutions < 0:
             raise SearchConfigError("max_solutions must be 0 (no limit) or positive")
-        if self.strategy not in ("backtrack", "orbit_restricted"):
+        if self.strategy not in STRATEGY.values():
             raise SearchConfigError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "orbit_restricted" and not self.subgroup_generators:
             raise SearchConfigError("orbit_restricted needs subgroup_generators")
+
+    def psd_limit(self, engine: str, ell: int) -> float:
+        """Each engine's first call, ``engine`` its name: refuse the other strategy, and
+        even ℓ, which has no pair.  Return the PSD ceiling, math.inf with psd_prune off."""
+        if self.strategy != STRATEGY[engine]:
+            raise SearchConfigError(f"{engine} requires strategy={STRATEGY[engine]!r}")
+        if ell % 2 == 0:
+            raise SearchConfigError(f"no Legendre pair has even length, got ℓ={ell}")
+        return 2 * ell + 2 + PSD_CEILING_TOL if self.psd_prune else math.inf
 
 
 @dataclass
@@ -326,8 +340,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     no FFT).  psd_prune=False sets the ceiling to math.inf, which keeps every
     option at it by the same code.  A leaf has no unknown product left, so
     there the joint bound is PAF_A(s) + PAF_B(s) = -2 on shifts 1..ℓ//2:
-    every leaf reached is a pair and is emitted as it is.  Even ℓ, which has
-    no pair, is refused.
+    every leaf reached is a pair and is emitted as it is.
 
     The option matrices stay in lex order, shared by every search, like the
     plan's per-(ℓ, d) tables (_grid); a search keeps only its seeded option
@@ -355,11 +368,7 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
     inside it, a leaf's preorder rank is its parent's, plus its option index
     and 1, plus the nodes below earlier live siblings.
     """
-    cfg.validate()
-    if cfg.strategy != "backtrack":
-        raise SearchConfigError("uncompress_search requires strategy='backtrack'")
-    if ell % 2 == 0:
-        raise SearchConfigError(f"no Legendre pair has even length, got ℓ={ell}")
+    psd_limit = cfg.psd_limit("uncompress_search", ell)
     plan = _plan(ell, cand.a, cand.b)
     steps, _, plus, _, _, slack, options, _ = plan
     d, m, nshifts = plus.shape  # class j is entries j::d; a slice writes faster than its index row
@@ -375,7 +384,6 @@ def uncompress_search(ell: int, cand: CandidatePair, cfg: SearchConfig) -> Searc
         return orders[depth]
 
     result = SearchResult()
-    psd_limit = 2 * ell + 2 + PSD_CEILING_TOL if cfg.psd_prune else math.inf
     a_last_step = len(steps) - 2  # the A side is complete after it
     tail = _tail_start([len(x) for x in options])
     # the walk's frames one B step above it score in lex order and draw
@@ -627,9 +635,14 @@ def _selections(cfg: SearchConfig, n1: int, n2: int, rows: int) -> Iterator[np.n
             yield np.asarray(keys, dtype=dtype)
 
 
-def _orbit_columns(ell: int, table: OrbitTable, p2: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """How a selection's masks, one per size class 1, 2 with orbits, give its
-    sequence, its filters and its PAF.
+@functools.lru_cache(maxsize=64)
+def _orbit_setup(ell: int, generators: Tuple[int, ...],
+                 p2: bool) -> Tuple[Tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
+    """orbit_search's set-up for (ℓ, generators, p2), read-only and shared by
+    every search with them: the numbers (n1, n2) of orbits of size 1 and 2,
+    and how a selection's masks, one per size class with orbits, give its
+    sequence, filters and PAF.  A miss calls this module's ``orbits`` by
+    name, as the benchmark's tracer rebinds it.
 
     Entry i of a sequence is residue i + 1, and the last entry is residue 0
     (always +1), as in sequence_from_block; column[i] is the column of the
@@ -640,6 +653,7 @@ def _orbit_columns(ell: int, table: OrbitTable, p2: bool) -> Tuple[np.ndarray, n
     O and -O make one class, whose least member is min(O[0], ℓ - O[-1]);
     r·k is reduced mod ℓ before the angle.  B[c, s] = Σ cos(2π·sk/ℓ) over
     the k in class c, for s = 1..ℓ//2."""
+    table = orbits(ell, generators)
     selectable = table.orbits_by_size.get(1, []) + table.orbits_by_size.get(2, [])
     column = np.full(ell, len(selectable))
     for c, orb in enumerate(selectable):
@@ -656,18 +670,7 @@ def _orbit_columns(ell: int, table: OrbitTable, p2: bool) -> Tuple[np.ndarray, n
     b = np.equal.outer(reps, rep[1:]) @ np.cos(2 * np.pi / ell * (i[1:, None] * i[1:ell // 2 + 1] % ell))
     for a in (column, w, b):  # shared by searches; _orbit_filter squares its product in place
         a.flags.writeable = False
-    return column, w, b
-
-
-@functools.lru_cache(maxsize=64)
-def _orbit_setup(ell: int, generators: Tuple[int, ...],
-                 p2: bool) -> Tuple[OrbitTable, np.ndarray, np.ndarray, np.ndarray]:
-    """orbit_search's orbit table and _orbit_columns, which depend on (ℓ,
-    generators, p2) alone.  Read-only: every search with them shares them.
-    A miss calls this module's ``orbits`` by name, as the benchmark's tracer
-    rebinds it."""
-    table = orbits(ell, generators)
-    return (table,) + _orbit_columns(ell, table, p2)
+    return (table.class_count(1), table.class_count(2)), column, w, b
 
 
 def _orbit_filter(ell: int, masks: list, w: np.ndarray, b: np.ndarray, p2: bool, limit: float) -> tuple:
@@ -749,13 +752,9 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
     tuple and a codes dict for each.  Nodes count distinct selections, so the
     search is exhausted when they reach C(n1, k1)·C(n2, k2).
     """
-    cfg.validate()
-    if cfg.strategy != "orbit_restricted":
-        raise SearchConfigError("orbit_search requires strategy='orbit_restricted'")
+    limit = cfg.psd_limit("orbit_search", ell)
     p2 = ell % 5 == 0 and cfg.p2_prefilter
-    table, column, w, b = _orbit_setup(ell, tuple(cfg.subgroup_generators), p2)
-    n1 = table.class_count(1)
-    n2 = table.class_count(2)
+    (n1, n2), column, w, b = _orbit_setup(ell, tuple(cfg.subgroup_generators), p2)
     k1, k2 = cfg.ones_orbits, cfg.twos_orbits
     if k1 < 0 or k2 < 0 or k1 > n1 or k2 > n2:
         raise SearchConfigError(
@@ -766,7 +765,6 @@ def orbit_search(ell: int, cfg: SearchConfig) -> SearchResult:
         raise SearchConfigError(
             f"selection counts ({k1},{k2}) give block size {k1 + 2 * k2}, need {want}"
         )
-    limit = 2 * ell + 2 + PSD_CEILING_TOL if cfg.psd_prune else math.inf
 
     result = SearchResult()
     pool: Dict[bytes, List[int]] = {}  # PAF at shifts 1..ℓ//2 -> survivor numbers

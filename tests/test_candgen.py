@@ -1,6 +1,7 @@
 """Candidate generation: d=5 completeness at desk scale, canonical dedup,
 and the general constraint-list generator."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -333,19 +334,16 @@ class TestGenerationProfile:
         assert profile.admits(data["compressed_a"], data["compressed_b"])
 
     def test_count_identity_violation(self):
-        profile = self.l87_profile(abs_value_counts={3: 15, 1: 44})
         with pytest.raises(ProfileError, match="counts sum"):
-            profile.validate()
+            self.l87_profile(abs_value_counts={3: 15, 1: 44})
 
     def test_balanced_parity_violation(self):
-        profile = self.l87_profile(abs_value_counts={3: 13, 1: 45})
         with pytest.raises(ProfileError, match="even count"):
-            profile.validate()
+            self.l87_profile(abs_value_counts={3: 13, 1: 45})
 
     def test_alphabet_violation(self):
-        profile = self.l87_profile(abs_value_counts={5: 14, 1: 44})
         with pytest.raises(ProfileError, match="alphabet"):
-            profile.validate()
+            self.l87_profile(abs_value_counts={5: 14, 1: 44})
 
     @pytest.mark.parametrize("mag", [-1, 0])
     @pytest.mark.parametrize("count", [0, 2])
@@ -353,11 +351,24 @@ class TestGenerationProfile:
         """A key below 1 is refused even at count 0: at ℓ=15 {3: 2, 1: 8, -1: 0}
         made candidates_general emit each of its 225 pairs 256 times."""
         counts = {3: 2, 1: 8 - count, mag: count}
-        profile = GenerationProfile(ell=15, m=3, d=5, abs_value_counts=counts, balanced=True)
         with pytest.raises(ProfileError, match=f"magnitude {mag} outside"):
-            profile.validate()
-        with pytest.raises(ProfileError, match=f"magnitude {mag} outside"):
-            list(candidates_general(profile))
+            GenerationProfile(ell=15, m=3, d=5, abs_value_counts=counts, balanced=True)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(d=7), r"ell=15 != d\*m = 21"),
+        (dict(abs_value_counts={3: 2, 1: 10, 5: -2}), "negative count for magnitude 5"),
+        # x is defined only for d = 5: at d = 7 a filter used to keep every pair, x null
+        (dict(ell=21, d=7, abs_value_counts={3: 3, 1: 11}, x_filter={999}),
+         "x is defined only for d = 5, got an x filter at d = 7"),
+    ], ids=["shape", "negative-count", "x-filter-d7"])
+    def test_refused_when_built(self, kw, message):
+        with pytest.raises(ProfileError, match=message):
+            GenerationProfile(**{**dict(ell=15, m=3, d=5, abs_value_counts={3: 2, 1: 8}), **kw})
+
+    def test_frozen(self):
+        profile = self.l87_profile()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.balanced = False
 
     def test_zero_count_magnitudes_ignored_by_admits(self):
         data = ell87()

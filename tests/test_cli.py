@@ -232,6 +232,13 @@ class TestBadInput:
         pytest.param(["search-orbit", "--ell", "15", "--gen", "1", "--ones", "7",
                       "--max-solutions", "-1"], [], ("max_solutions",),
                      id="search-orbit-negative-max-solutions"),
+        pytest.param(["search-orbit", "--ell", "20", "--gen", "1", "--ones", "9"], [],
+                     ("even length",), id="search-orbit-even-length"),
+        pytest.param(["search-orbit", "--ell", "21", "--gen", "1", "--ones", "10", "--budget", "0"],
+                     [], ("budget_nodes",), id="search-orbit-zero-budget"),
+        pytest.param(PROFILE + ["--x", "999"],
+                     {"ell": 21, "m": 3, "d": 7, "abs_value_counts": {"3": 3, "1": 11}},
+                     ("x is defined only for d = 5",), id="profile-x-filter-d7"),
     ])
     def test_exits_two_without_traceback(self, tmp_path, capsys, argv, content, names):
         bad = tmp_path / "in"

@@ -1,6 +1,7 @@
 """Decompression engines: exhaustive counts against independent oracles,
 budget/determinism contracts, and the orbit-restricted search."""
 
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -1439,7 +1440,7 @@ class TestReduce:
 
 
 class TestOrbitFilter:
-    """The orbit-space filters (one float64 GEMM against _orbit_columns' W)
+    """The orbit-space filters (one float64 GEMM against _orbit_setup's W)
     against the ±1-row path: the compressed rows' p2 sums exactly, the PSD
     maximum over the frequency classes within 1e-9 of the FFT's over every
     k != 0, the same survivors as the square-sum then psd_vector, and the
@@ -1455,10 +1456,8 @@ class TestOrbitFilter:
         (71, (1,), 35, 0),  # C(70, 35) > 2**63: object ranks
     ])
     def test_matches_row_filters(self, ell, gens, k1, k2):
-        table = orbits(ell, gens)
-        n1, n2 = table.class_count(1), table.class_count(2)
         p2 = ell % 5 == 0
-        column, w, b = decompress._orbit_columns(ell, table, p2)
+        (n1, n2), column, w, b = decompress._orbit_setup(ell, gens, p2)
         assert not w.flags.writeable and not b.flags.writeable  # _orbit_filter squares in place
         # one frequency per orbit of <generators, -1>: 26 at ℓ=85, 14 at ℓ=45
         classes = orbits(ell, gens + (ell - 1,)).orbits_by_size.values()
@@ -1757,9 +1756,9 @@ ORBIT_L15 = dict(strategy="orbit_restricted", subgroup_generators=(1,))
 
 class TestRejections:
     @pytest.mark.parametrize("call, message", [
-        (lambda: SearchConfig(budget_nodes=0).validate(), "budget_nodes must be positive"),
-        (lambda: SearchConfig(strategy="grid").validate(), "unknown strategy 'grid'"),
-        (lambda: SearchConfig(strategy="orbit_restricted").validate(),
+        (lambda: SearchConfig(budget_nodes=0), "budget_nodes must be positive"),
+        (lambda: SearchConfig(strategy="grid"), "unknown strategy 'grid'"),
+        (lambda: SearchConfig(strategy="orbit_restricted"),
          "orbit_restricted needs subgroup_generators"),
         (lambda: uncompress_search(15, CandidatePair(a=(1, 1, -1, 1), b=(1, 1, -1, 1), ell=15, m=4),
                                    SearchConfig()),
@@ -1770,8 +1769,17 @@ class TestRejections:
          "orbit_search requires strategy='orbit_restricted'"),
         (lambda: orbit_search(15, SearchConfig(**ORBIT_L15, ones_orbits=15)),
          r"selection counts \(15,0\) exceed available orbits \(14,0\)"),
+        (lambda: SearchConfig(max_solutions=-1), r"max_solutions must be 0 \(no limit\) or positive"),
+        # the orbit engine used to search ℓ=20 until its budget ran out
+        (lambda: orbit_search(20, SearchConfig(**ORBIT_L15, ones_orbits=9)),
+         "no Legendre pair has even length, got ℓ=20"),
     ], ids=["budget", "strategy", "generators", "shape", "dfs-strategy", "orbit-strategy",
-            "counts"])
+            "counts", "max-solutions", "orbit-even-length"])
     def test_raises_config_error(self, call, message):
         with pytest.raises(SearchConfigError, match=message):
             call()
+
+    def test_config_is_frozen(self):
+        cfg = SearchConfig(**ORBIT_L15, ones_orbits=7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.budget_nodes = 0
